@@ -134,6 +134,51 @@ TEST_F(CrashResumeTest, ResumeAfterInterruptionIsByteIdentical) {
   EXPECT_EQ(dir_contents(out("full")), dir_contents(out("killed")));
 }
 
+TEST_F(CrashResumeTest, MixedTopologySweepResumesByteIdentical) {
+  // Two voltrino scenarios and one on the 1k-node dragonfly, traced and
+  // journaled: a crash after the first scenario, resumed, must leave the
+  // same CSVs, traces and summary as an uninterrupted run.
+  SweepGrid grid;
+  grid.name = "mixed-topology";
+  int index = 0;
+  for (const char* system : {"voltrino", "voltrino", "dragonfly1k"}) {
+    ScenarioSpec spec;
+    spec.name = "st" + std::to_string(index);
+    spec.system = system;
+    spec.app = "none";
+    spec.anomaly = index == 1 ? "membw" : "none";
+    spec.duration_s = 2.0;
+    spec.sample_period_s = 1.0;
+    spec.seed = 7000 + static_cast<std::uint64_t>(index);
+    grid.scenarios.push_back(spec);
+    ++index;
+  }
+
+  SweepOptions full;
+  full.threads = 1;
+  full.capture_traces = true;
+  full.journal_path = out("full") + "/sweep.journal";
+  const SweepResult uninterrupted = run_sweep(grid, full);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.first_error();
+  write_outputs(uninterrupted, out("full"));
+
+  SweepGrid prefix = grid;
+  prefix.scenarios.resize(1);
+  SweepOptions crashed = full;
+  crashed.journal_path = out("resumed") + "/sweep.journal";
+  ASSERT_TRUE(run_sweep(prefix, crashed).ok());
+  SweepOptions resume = crashed;
+  resume.resume = true;
+  const SweepResult resumed = run_sweep(grid, resume);
+  ASSERT_TRUE(resumed.ok()) << resumed.first_error();
+  EXPECT_EQ(resumed.resumed, 1u);
+  write_outputs(resumed, out("resumed"));
+
+  const auto want = dir_contents(out("full"));
+  ASSERT_GT(want.size(), 3u);
+  EXPECT_EQ(dir_contents(out("resumed")), want);
+}
+
 TEST_F(CrashResumeTest, CorruptOutputOnDiskIsReRun) {
   const SweepGrid grid = quick_grid(3);
   SweepOptions options;

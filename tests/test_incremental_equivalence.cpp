@@ -4,11 +4,12 @@
 // HPAS_FULL_RECOMPUTE=1), which re-solves every domain and integrates
 // every counter on every event exactly like the original eager loop.
 //
-// Three layers of evidence, strongest first: the fig05 memleak trace
+// Four layers of evidence, strongest first: the fig05 memleak trace
 // (every event, rate, memory and sample record), a mixed scenario that
 // keeps all three counter domains (node, network, filesystem) busy at
-// once, and a whole sweep output directory (CSVs + traces + summary)
-// compared file-by-file.
+// once, a sparse workload on the 1k-node dragonfly preset, and a whole
+// sweep output directory (CSVs + traces + summary) compared
+// file-by-file.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -88,6 +89,42 @@ TEST(IncrementalEquivalence, MixedDomainTraceIsByteIdentical) {
   ASSERT_FALSE(incremental.empty());
   EXPECT_EQ(incremental, full)
       << "incremental mode diverged with node+network+fs domains active";
+}
+
+/// Sparse workload on the 1k-node dragonfly: compute/message cyclers on
+/// every 16th node (64 tasks), peers a half-machine away so flows cross
+/// groups. Sparse keeps the case inside the ctest budget; the topology,
+/// not the task count, is what scales here -- full-recompute mode
+/// re-solves all 1024 node domains on every event.
+std::string dragonfly_trace(bool full_recompute) {
+  auto world = hpas::sim::make_dragonfly_world();
+  EXPECT_EQ(world->num_nodes(), 1024);
+  world->set_full_recompute(full_recompute);
+  hpas::trace::TraceCapture capture;
+  world->attach_tracer(&capture.tracer());
+  const int n = world->num_nodes();
+  for (int id = 0; id < n; id += 16) {
+    const int peer = (id + n / 2) % n;
+    world->spawn_task("t" + std::to_string(id), id, 0,
+                      hpas::sim::TaskProfile{}, hpas::sim::Phase::compute(0.5e9),
+                      [peer](hpas::sim::Task& t) {
+                        return t.phase().kind == hpas::sim::PhaseKind::kCompute
+                                   ? hpas::sim::Phase::message(peer, 0.1e9)
+                                   : hpas::sim::Phase::compute(0.5e9);
+                      });
+  }
+  world->run_until(3.0);
+  std::ostringstream out(std::ios::binary);
+  hpas::trace::write_binary(out, capture.take());
+  return out.str();
+}
+
+TEST(IncrementalEquivalence, DragonflyThousandNodeTraceIsByteIdentical) {
+  const std::string incremental = dragonfly_trace(false);
+  const std::string full = dragonfly_trace(true);
+  ASSERT_FALSE(incremental.empty());
+  EXPECT_EQ(incremental, full)
+      << "incremental mode diverged on the 1k-node dragonfly";
 }
 
 // --- whole-sweep directory comparison ---------------------------------

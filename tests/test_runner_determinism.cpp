@@ -6,6 +6,7 @@
 // the same grid at 1 / 2 / 5 workers; the golden-file check pins the
 // exact bytes under tests/golden/ (regenerate with
 // HPAS_UPDATE_GOLDEN=1 after an intentional model change).
+#include "common/error.hpp"
 #include "runner/diagnosis_sweep.hpp"
 #include "runner/grid.hpp"
 #include "runner/runner.hpp"
@@ -67,6 +68,23 @@ TEST(GridExpansion, SeedsAreCounterBasedNotSequential) {
   EXPECT_EQ(derive_scenario_seed(42, 7), derive_scenario_seed(42, 7));
   EXPECT_NE(derive_scenario_seed(42, 7), derive_scenario_seed(42, 8));
   EXPECT_NE(derive_scenario_seed(42, 7), derive_scenario_seed(43, 7));
+}
+
+TEST(RunScenario, ReservedArgumentAcceptsOnlyZeroOrOne) {
+  // The fourth parameter is kept for positional callers; 0 and 1 both run
+  // the one serial engine, anything else is a configuration error.
+  ScenarioSpec spec = expand_grid(small_grid_spec()).scenarios.front();
+  spec.duration_s = 5.0;
+  const ScenarioResult reference = run_scenario(spec, /*capture_trace=*/true);
+  ASSERT_EQ(reference.status, ScenarioStatus::kDone) << reference.error;
+  for (const int reserved : {0, 1}) {
+    const ScenarioResult run =
+        run_scenario(spec, /*capture_trace=*/true, nullptr, reserved);
+    EXPECT_EQ(run.metrics_csv, reference.metrics_csv) << reserved;
+    EXPECT_EQ(run.trace_bin, reference.trace_bin) << reserved;
+  }
+  EXPECT_THROW(run_scenario(spec, false, nullptr, 2), ConfigError);
+  EXPECT_THROW(run_scenario(spec, false, nullptr, -1), ConfigError);
 }
 
 TEST(SweepDeterminism, ByteIdenticalAcrossThreadCounts) {
