@@ -9,7 +9,9 @@
 //                reference mode, with the speedup recorded (the CI gate
 //                and the acceptance criterion read both numbers);
 //   dragonfly1k  events/s and aggregate ops/s (events x resident tasks)
-//                of the 1k-node dragonfly preset;
+//                of the 1k-node dragonfly preset, and the median set-up
+//                cost of one scenario on it (world build + monitoring of
+//                node 0, the t=0 sample included);
 //   rate_solver  microseconds per full rate recompute at 1..64 nodes;
 //   sweep        wall-clock seconds for a small in-process sweep grid in
 //                both modes.
@@ -20,6 +22,7 @@
 // against the checked-in baseline.
 //
 // Usage: microbench_engine [--out PATH] [--quick]
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -232,6 +235,21 @@ DragonflyResult bench_dragonfly(double sim_seconds) {
   return r;
 }
 
+/// Median wall milliseconds of make_dragonfly_world() followed by
+/// node-0 monitoring -- what every dragonfly1k scenario pays before its
+/// first event. Teardown is left out.
+double bench_dragonfly_build_ms(int repeats) {
+  std::vector<double> ms;
+  for (int i = 0; i < repeats; ++i) {
+    const auto start = Clock::now();
+    auto world = hpas::sim::make_dragonfly_world();
+    world->enable_monitoring(1.0, {0});
+    ms.push_back(seconds_since(start) * 1e3);
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
 // --- rate-solver scaling -------------------------------------------------
 
 double bench_rate_solver_us(int nodes, int iterations) {
@@ -376,13 +394,15 @@ int main(int argc, char** argv) {
   // 1k-node dragonfly throughput.
   {
     const DragonflyResult r = bench_dragonfly(quick ? 0.1 : 0.4);
-    std::printf("dragonfly1k: %.3g events/s, %.3g agg ops/s\n",
-                r.events_per_sec, r.agg_ops_per_sec);
+    const double build_ms = bench_dragonfly_build_ms(31);
+    std::printf("dragonfly1k: %.3g events/s, %.3g agg ops/s, build %.3g ms\n",
+                r.events_per_sec, r.agg_ops_per_sec, build_ms);
     hpas::Json section = hpas::Json::object();
     section.set("events_per_sec", r.events_per_sec);
     section.set("agg_ops_per_sec", r.agg_ops_per_sec);
     section.set("epochs", r.epochs);
     section.set("tasks", r.tasks);
+    section.set("build_ms", build_ms);
     doc.set("dragonfly1k", std::move(section));
   }
 

@@ -95,7 +95,7 @@ DiagnosisScenario begin_diagnosis_scenario(const DiagnosisRunPlan& plan,
   DiagnosisScenario scenario;
   scenario.world = sim::make_voltrino_world();
   sim::World& world = *scenario.world;
-  world.enable_monitoring(1.0, sink, /*sink_node=*/0, store_samples);
+  world.enable_monitoring(1.0, {0}, sink, store_samples);
 
   if (anomaly != "none") {
     // The busy anomalies (cpuoccupy/cachecopy/membw) colocate with rank 0

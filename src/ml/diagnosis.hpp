@@ -102,8 +102,9 @@ struct DiagnosisScenario {
 };
 
 /// Sets up one planned run without advancing time: the single source of
-/// truth for the scenario construction both extraction modes share. With
-/// the defaults this is exactly the batch pipeline's setup; the streaming
+/// truth for the scenario construction both extraction modes share. Only
+/// node 0, the node both modes read, is monitored. With the defaults
+/// this is exactly the batch pipeline's setup; the streaming
 /// dataset factory passes a SampleSink (observing node 0, including the
 /// t=0 sample) and store_samples = false so the MetricStore never
 /// materializes. The simulated world is bit-identical either way -- the

@@ -205,8 +205,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, bool capture_trace,
     capture.emplace();
     world->attach_tracer(&capture->tracer());
   }
-  world->enable_monitoring(spec.sample_period_s, sink, /*sink_node=*/0,
-                           store_samples);
+  // Node 0's series is the only one a scenario reads (CSV, sink, probes).
+  world->enable_monitoring(spec.sample_period_s, {0}, sink, store_samples);
   world->set_cancel_token(cancel);
 
   try {

@@ -134,12 +134,13 @@ struct SweepResult {
 /// *completed* run, before the world is torn down -- the hook behind
 /// probe-based search objectives (WBAS capacity ranks, classifier
 /// confidence). It must be deterministic and must not advance the
-/// simulation if the scenario's outputs are to stay reproducible.
+/// simulation if the scenario's outputs are to stay reproducible. Only
+/// node 0 is monitored: `node_store(0)` is the one store it can read.
 ///
 /// `sink` (optional) observes node 0's monitoring samples as they are
 /// collected (including the t=0 sample) -- the streaming dataset
-/// factory's extraction hook. With `store_samples` false the per-node
-/// MetricStores stay empty (result.metrics_csv is then header-only), so
+/// factory's extraction hook. With `store_samples` false node 0's
+/// MetricStore stays empty (result.metrics_csv is then header-only), so
 /// a sink-only scenario runs in O(1) monitoring memory regardless of
 /// duration. Observation-only: the simulated world is bit-identical with
 /// or without a sink.

@@ -81,72 +81,63 @@ Topology Topology::dragonfly(int groups, int routers_per_group,
 
 Network::Network(Topology topology) : topo_(std::move(topology)) {
   require(topo_.num_nodes >= 1, "Network: need at least one node");
-  build_paths();
-}
-
-void Network::build_paths() {
-  const int v = topo_.vertex_count();
-  // Adjacency: vertex -> (neighbor, trunk index).
-  std::vector<std::vector<std::pair<int, int>>> adj(
-      static_cast<std::size_t>(v));
+  adj_.resize(static_cast<std::size_t>(topo_.vertex_count()));
   for (std::size_t t = 0; t < topo_.trunks.size(); ++t) {
     const Trunk& trunk = topo_.trunks[t];
-    adj[static_cast<std::size_t>(trunk.a)].push_back(
+    adj_[static_cast<std::size_t>(trunk.a)].push_back(
         {trunk.b, static_cast<int>(t)});
-    adj[static_cast<std::size_t>(trunk.b)].push_back(
+    adj_[static_cast<std::size_t>(trunk.b)].push_back(
         {trunk.a, static_cast<int>(t)});
   }
-  // Deterministic tie-break: explore lower vertex ids first.
-  for (auto& neighbors : adj)
-    std::sort(neighbors.begin(), neighbors.end());
-
-  paths_.assign(
-      static_cast<std::size_t>(topo_.num_nodes) *
-          static_cast<std::size_t>(topo_.num_nodes),
-      {});
-  for (int src = 0; src < topo_.num_nodes; ++src) {
-    // BFS from src over all vertices.
-    std::vector<int> prev_vertex(static_cast<std::size_t>(v), -1);
-    std::vector<int> prev_trunk(static_cast<std::size_t>(v), -1);
-    std::vector<bool> seen(static_cast<std::size_t>(v), false);
-    std::queue<int> frontier;
-    frontier.push(src);
-    seen[static_cast<std::size_t>(src)] = true;
-    while (!frontier.empty()) {
-      const int u = frontier.front();
-      frontier.pop();
-      for (const auto& [w, trunk] : adj[static_cast<std::size_t>(u)]) {
-        if (seen[static_cast<std::size_t>(w)]) continue;
-        seen[static_cast<std::size_t>(w)] = true;
-        prev_vertex[static_cast<std::size_t>(w)] = u;
-        prev_trunk[static_cast<std::size_t>(w)] = trunk;
-        frontier.push(w);
-      }
-    }
-    for (int dst = 0; dst < topo_.num_nodes; ++dst) {
-      if (dst == src) continue;
-      require(seen[static_cast<std::size_t>(dst)],
-              "Network: topology is disconnected");
-      std::vector<int> trunks;
-      for (int at = dst; at != src;
-           at = prev_vertex[static_cast<std::size_t>(at)]) {
-        trunks.push_back(prev_trunk[static_cast<std::size_t>(at)]);
-      }
-      std::reverse(trunks.begin(), trunks.end());
-      paths_[static_cast<std::size_t>(src) *
-                 static_cast<std::size_t>(topo_.num_nodes) +
-             static_cast<std::size_t>(dst)] = std::move(trunks);
-    }
-  }
+  for (auto& neighbors : adj_) std::sort(neighbors.begin(), neighbors.end());
+  // Trunks are undirected, so one BFS decides connectivity for every pair.
+  via_.resize(static_cast<std::size_t>(topo_.num_nodes));
+  via_[0] = bfs(0);
+  for (int node = 1; node < topo_.num_nodes; ++node)
+    require(via_[0][static_cast<std::size_t>(node)] >= 0,
+            "Network: topology is disconnected");
 }
 
-const std::vector<int>& Network::path(int src_node, int dst_node) const {
-  require(src_node >= 0 && src_node < topo_.num_nodes && dst_node >= 0 &&
-              dst_node < topo_.num_nodes,
+std::vector<int> Network::bfs(int src) const {
+  std::vector<int> via(static_cast<std::size_t>(topo_.vertex_count()), -1);
+  std::queue<int> frontier;
+  frontier.push(src);
+  while (!frontier.empty()) {
+    const int u = frontier.front();
+    frontier.pop();
+    for (const auto& [w, trunk] : adj_[static_cast<std::size_t>(u)]) {
+      if (w == src || via[static_cast<std::size_t>(w)] >= 0) continue;
+      via[static_cast<std::size_t>(w)] = trunk;
+      frontier.push(w);
+    }
+  }
+  return via;
+}
+
+void Network::route(int src, int dst, std::vector<std::size_t>& links) {
+  require(src >= 0 && src < topo_.num_nodes && dst >= 0 &&
+              dst < topo_.num_nodes,
           "Network: node id out of range");
-  return paths_[static_cast<std::size_t>(src_node) *
-                    static_cast<std::size_t>(topo_.num_nodes) +
-                static_cast<std::size_t>(dst_node)];
+  std::vector<int>& via = via_[static_cast<std::size_t>(src)];
+  if (via.empty()) via = bfs(src);
+  // Walk the tree back from dst (link ids as in compute_rates).
+  links.clear();
+  for (int at = dst; at != src;) {
+    const int t = via[static_cast<std::size_t>(at)];
+    const Trunk& trunk = topo_.trunks[static_cast<std::size_t>(t)];
+    const bool forward = (trunk.b == at);
+    links.push_back(2 * static_cast<std::size_t>(t) + (forward ? 0 : 1));
+    at = forward ? trunk.a : trunk.b;
+  }
+  std::reverse(links.begin(), links.end());
+}
+
+std::vector<int> Network::path(int src_node, int dst_node) {
+  std::vector<std::size_t> links;
+  route(src_node, dst_node, links);
+  std::vector<int> trunks;
+  for (const std::size_t l : links) trunks.push_back(static_cast<int>(l / 2));
+  return trunks;
 }
 
 void Network::compute_rates(std::vector<Flow>& flows) {
@@ -166,20 +157,13 @@ void Network::compute_rates(std::vector<Flow>& flows) {
   frozen_.assign(flows.size(), 0);
   for (std::size_t f = 0; f < flows.size(); ++f) {
     Flow& flow = flows[f];
-    flow_links_[f].clear();
     if (flow.src == flow.dst) {
+      flow_links_[f].clear();
       flow.rate = kLoopbackRate;
       frozen_[f] = 1;
       continue;
     }
-    int at = flow.src;
-    for (const int t : path(flow.src, flow.dst)) {
-      const Trunk& trunk = topo_.trunks[static_cast<std::size_t>(t)];
-      const bool forward = (trunk.a == at);
-      flow_links_[f].push_back(2 * static_cast<std::size_t>(t) +
-                               (forward ? 0 : 1));
-      at = forward ? trunk.b : trunk.a;
-    }
+    route(flow.src, flow.dst, flow_links_[f]);
   }
 
   // Progressive filling: repeatedly find the bottleneck link (smallest

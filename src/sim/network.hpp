@@ -16,6 +16,7 @@
 // fatter than one NIC), and contention only appears on shared paths.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "sim/task.hpp"
@@ -79,16 +80,24 @@ class Network {
   /// working state lives in reusable scratch buffers.
   void compute_rates(std::vector<Flow>& flows);
 
-  /// The precomputed shortest path (sequence of trunk indices) between
-  /// two compute nodes; exposed for tests.
-  const std::vector<int>& path(int src_node, int dst_node) const;
+  /// The shortest path (sequence of trunk indices) between two compute
+  /// nodes; exposed for tests.
+  std::vector<int> path(int src_node, int dst_node);
 
  private:
-  void build_paths();
+  /// BFS from `src`: the trunk each vertex was first reached by (-1 for
+  /// `src` itself and for unreached vertices).
+  std::vector<int> bfs(int src) const;
+  /// Writes the directed link ids along src -> dst into `links`, building
+  /// src's BFS tree the first time src sends.
+  void route(int src, int dst, std::vector<std::size_t>& links);
 
   Topology topo_;
-  // paths_[src * num_nodes + dst] = trunk indices along the route.
-  std::vector<std::vector<int>> paths_;
+  // adj_[v] = (neighbor, trunk index), sorted: BFS explores lower vertex
+  // ids first, which is the deterministic tie-break between equal paths.
+  std::vector<std::vector<std::pair<int, int>>> adj_;
+  // via_[src] = bfs(src), built lazily; empty until src first sends.
+  std::vector<std::vector<int>> via_;
 
   // Progressive-filling scratch, reused across compute_rates calls.
   std::vector<double> residual_;

@@ -502,18 +502,30 @@ void World::update() {
   sync_all_domains();
 }
 
-void World::enable_monitoring(double period_s, metrics::SampleSink* sink,
-                              int sink_node, bool store_samples) {
+void World::enable_monitoring(double period_s, std::vector<int> nodes,
+                              metrics::SampleSink* sink, bool store_samples) {
   require(period_s > 0.0, "enable_monitoring: period must be positive");
-  require(stores_.empty(), "enable_monitoring: already enabled");
-  require(sink == nullptr || (sink_node >= 0 && sink_node < num_nodes()),
-          "enable_monitoring: sink_node out of range");
-  for (int i = 0; i < num_nodes(); ++i) {
-    stores_.push_back(std::make_unique<metrics::MetricStore>());
-    auto collector = std::make_unique<metrics::Collector>(stores_.back().get());
-    attach_node_samplers(*collector, *this, i);
+  require(collectors_.empty(), "enable_monitoring: already enabled");
+  if (nodes.empty()) {
+    for (int i = 0; i < num_nodes(); ++i) nodes.push_back(i);
+  }
+  std::vector<char> listed(static_cast<std::size_t>(num_nodes()), 0);
+  for (const int id : nodes) {
+    if (id < 0 || id >= num_nodes())
+      throw InvariantError("enable_monitoring: node " + std::to_string(id) +
+                           " out of range");
+    if (listed[static_cast<std::size_t>(id)]++)
+      throw InvariantError("enable_monitoring: node " + std::to_string(id) +
+                           " listed twice");
+  }
+  stores_.resize(static_cast<std::size_t>(num_nodes()));
+  for (const int id : nodes) {
+    auto& store = stores_[static_cast<std::size_t>(id)];
+    store = std::make_unique<metrics::MetricStore>();
+    auto collector = std::make_unique<metrics::Collector>(store.get());
+    attach_node_samplers(*collector, *this, id);
     collector->set_store_enabled(store_samples);
-    if (sink != nullptr && i == sink_node) collector->set_sink(sink);
+    if (id == nodes.front()) collector->set_sink(sink);
     collectors_.push_back(std::move(collector));
   }
   sample_all(period_s);
@@ -525,8 +537,10 @@ void World::sample_all(double period_s) {
   sync_all_domains();
   for (const auto& collector : collectors_) collector->collect(sim_.now());
   if (tracer_) {
-    tracer_->emit(trace::RecordKind::kSample, 0, 0, collectors_.size(),
-                  period_s);
+    // a = node count, not collector count: monitoring scope never
+    // changes the trace.
+    tracer_->emit(trace::RecordKind::kSample, 0, 0,
+                  static_cast<std::uint64_t>(num_nodes()), period_s);
   }
   sim_.schedule_in(period_s, [this, period_s] { sample_all(period_s); });
 }
@@ -543,8 +557,10 @@ void World::attach_tracer(trace::Tracer* tracer) {
 }
 
 metrics::MetricStore& World::node_store(int id) {
-  require(id >= 0 && static_cast<std::size_t>(id) < stores_.size(),
-          "node_store: monitoring not enabled or id out of range");
+  if (id < 0 || static_cast<std::size_t>(id) >= stores_.size() ||
+      stores_[static_cast<std::size_t>(id)] == nullptr)
+    throw InvariantError("node_store: node " + std::to_string(id) +
+                         " is not monitored");
   return *stores_[static_cast<std::size_t>(id)];
 }
 

@@ -96,14 +96,19 @@ class World {
   /// Starts LDMS-like monitoring: per-node procstat / meminfo / vmstat /
   /// spapiHASW / aries_nic_mmr samplers collected every `period_s`.
   ///
-  /// `sink` (optional, non-owning) streams node `sink_node`'s samples in
-  /// collection order, including the t=0 sample taken inside this call.
-  /// With `store_samples == false` the per-node MetricStores stay empty
-  /// (node_store() returns an empty store) -- the streaming dataset path
-  /// uses this so monitoring memory is O(1) in scenario duration.
-  void enable_monitoring(double period_s,
+  /// `nodes` lists the monitored nodes (distinct, in range); empty means
+  /// every node. Samplers only read counters, so an unmonitored node
+  /// evolves exactly as a monitored one would; it is just not sampled.
+  /// `sink` (optional, non-owning) streams the first listed node's
+  /// samples (node 0 when `nodes` is empty) in collection order,
+  /// including the t=0 sample taken inside this call. With
+  /// `store_samples == false` the MetricStores stay empty -- the
+  /// streaming dataset path uses this so monitoring memory is O(1) in
+  /// scenario duration.
+  void enable_monitoring(double period_s, std::vector<int> nodes = {},
                          metrics::SampleSink* sink = nullptr,
-                         int sink_node = 0, bool store_samples = true);
+                         bool store_samples = true);
+  /// The store of a monitored node; throws for any other node.
   metrics::MetricStore& node_store(int id);
 
   /// Attaches a structured tracer to the whole substrate: the engine's
@@ -209,6 +214,7 @@ class World {
   };
   std::vector<RateAgg> agg_scratch_;
 
+  /// Indexed by node id; null for a node that is not monitored.
   std::vector<std::unique_ptr<metrics::MetricStore>> stores_;
   std::vector<std::unique_ptr<metrics::Collector>> collectors_;
 };

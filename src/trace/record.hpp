@@ -36,7 +36,8 @@ enum class RecordKind : std::uint16_t {
   kAnomalyStart = 12,   ///< injector: subject=node, detail=anomaly id,
                         ///<           a=core, x=duration, y=primary knob
   kAnomalyStop = 13,    ///< injector: subject=task, detail=anomaly id
-  kSample = 14,         ///< monitoring: a=collector count, x=period
+  kSample = 14,         ///< monitoring: a=world node count (not the
+                        ///<             monitored count), x=period
   kInjectorFailure = 15,  ///< injector: subject=task, detail=mode
                           ///<           (0=killed), a=surviving injector
                           ///<           tasks, x=failure time

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <queue>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "sim/cluster.hpp"
 
 namespace hpas::sim {
 namespace {
@@ -110,6 +115,107 @@ TEST(Network, DirectionsAreIndependent) {
   net.compute_rates(flows);
   EXPECT_NEAR(flows[0].rate, 10e9, 1.0);
   EXPECT_NEAR(flows[1].rate, 10e9, 1.0);
+}
+
+/// The eager router Network used to run at construction: a BFS from every
+/// source over the sorted adjacency, each path read back through the
+/// predecessor arrays. Kept here only as the reference for lazy routing.
+class EagerRoutes {
+ public:
+  explicit EagerRoutes(const Topology& topo)
+      : topo_(topo), adj_(static_cast<std::size_t>(topo.vertex_count())) {
+    for (std::size_t t = 0; t < topo.trunks.size(); ++t) {
+      const Trunk& trunk = topo.trunks[t];
+      adj_[static_cast<std::size_t>(trunk.a)].push_back(
+          {trunk.b, static_cast<int>(t)});
+      adj_[static_cast<std::size_t>(trunk.b)].push_back(
+          {trunk.a, static_cast<int>(t)});
+    }
+    for (auto& neighbors : adj_) std::sort(neighbors.begin(), neighbors.end());
+  }
+
+  std::vector<int> path(int src, int dst) {
+    if (src != bfs_src_) bfs(src);
+    std::vector<int> trunks;
+    for (int at = dst; at != src;
+         at = prev_vertex_[static_cast<std::size_t>(at)])
+      trunks.push_back(prev_trunk_[static_cast<std::size_t>(at)]);
+    std::reverse(trunks.begin(), trunks.end());
+    return trunks;
+  }
+
+ private:
+  void bfs(int src) {
+    const auto v = static_cast<std::size_t>(topo_.vertex_count());
+    prev_vertex_.assign(v, -1);
+    prev_trunk_.assign(v, -1);
+    std::vector<bool> seen(v, false);
+    std::queue<int> frontier;
+    frontier.push(src);
+    seen[static_cast<std::size_t>(src)] = true;
+    while (!frontier.empty()) {
+      const int u = frontier.front();
+      frontier.pop();
+      for (const auto& [w, trunk] : adj_[static_cast<std::size_t>(u)]) {
+        if (seen[static_cast<std::size_t>(w)]) continue;
+        seen[static_cast<std::size_t>(w)] = true;
+        prev_vertex_[static_cast<std::size_t>(w)] = u;
+        prev_trunk_[static_cast<std::size_t>(w)] = trunk;
+        frontier.push(w);
+      }
+    }
+    bfs_src_ = src;
+  }
+
+  Topology topo_;
+  std::vector<std::vector<std::pair<int, int>>> adj_;
+  std::vector<int> prev_vertex_;
+  std::vector<int> prev_trunk_;
+  int bfs_src_ = -1;
+};
+
+TEST(RoutingEquivalence, LazyPathsMatchEagerBfsOnEveryPair) {
+  for (const Topology& topo :
+       {Topology::two_tier(2, 4, 10e9, 18e9), Topology::star(3, 1e9),
+        Topology::dragonfly(2, 2, 4, 10e9, 40e9, 15e9)}) {
+    Network net(topo);
+    EagerRoutes eager(topo);
+    for (int src = 0; src < topo.num_nodes; ++src) {
+      for (int dst = 0; dst < topo.num_nodes; ++dst)
+        EXPECT_EQ(net.path(src, dst), eager.path(src, dst))
+            << src << " -> " << dst << " of " << topo.num_nodes;
+    }
+  }
+}
+
+TEST(RoutingEquivalence, LazyPathsMatchEagerBfsOnDragonflyPresetSample) {
+  const DragonflyPreset p;
+  const Topology topo =
+      Topology::dragonfly(p.groups, p.routers_per_group, p.nodes_per_router,
+                          p.nic_bw, p.local_bw, p.global_bw);
+  ASSERT_EQ(topo.num_nodes, 1024);
+  Network net(topo);
+  EagerRoutes eager(topo);
+  Rng rng(2019);
+  std::vector<std::pair<int, int>> pairs;
+  for (int i = 0; i < 10000; ++i) {
+    pairs.emplace_back(static_cast<int>(rng.next_below(1024)),
+                       static_cast<int>(rng.next_below(1024)));
+  }
+  // Grouping by source keeps the reference at one BFS per source.
+  std::sort(pairs.begin(), pairs.end());
+  for (const auto& [src, dst] : pairs)
+    ASSERT_EQ(net.path(src, dst), eager.path(src, dst))
+        << src << " -> " << dst;
+}
+
+TEST(RoutingEquivalence, DisconnectedTopologyThrowsFromConstructor) {
+  Topology topo = Topology::two_tier(2, 2, 10e9, 18e9);
+  topo.trunks.pop_back();  // the only inter-switch trunk
+  EXPECT_THROW({ Network net(topo); }, InvariantError);
+  Topology stray = Topology::star(3, 1e9);
+  stray.trunks.erase(stray.trunks.begin() + 1);  // node 1 loses its NIC
+  EXPECT_THROW({ Network net(stray); }, InvariantError);
 }
 
 /// Property: total rate over any trunk direction never exceeds capacity.

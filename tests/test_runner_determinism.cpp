@@ -6,10 +6,17 @@
 // the same grid at 1 / 2 / 5 workers; the golden-file check pins the
 // exact bytes under tests/golden/ (regenerate with
 // HPAS_UPDATE_GOLDEN=1 after an intentional model change).
+#include "apps/bsp_app.hpp"
+#include "apps/profiles.hpp"
 #include "common/error.hpp"
+#include "metrics/csv.hpp"
 #include "runner/diagnosis_sweep.hpp"
 #include "runner/grid.hpp"
 #include "runner/runner.hpp"
+#include "sim/cluster.hpp"
+#include "simanom/injectors.hpp"
+#include "trace/export.hpp"
+#include "trace/tracer.hpp"
 
 #include <gtest/gtest.h>
 
@@ -85,6 +92,89 @@ TEST(RunScenario, ReservedArgumentAcceptsOnlyZeroOrOne) {
   }
   EXPECT_THROW(run_scenario(spec, false, nullptr, 2), ConfigError);
   EXPECT_THROW(run_scenario(spec, false, nullptr, -1), ConfigError);
+}
+
+struct NodeZeroOutputs {
+  std::string csv;
+  std::string trace_bin;
+};
+
+/// run_scenario's netoccupy + app scenario rebuilt by hand, except that
+/// this world monitors every node rather than only node 0.
+NodeZeroOutputs run_monitoring_every_node(const ScenarioSpec& spec) {
+  auto world = spec.system == "dragonfly1k" ? sim::make_dragonfly_world()
+                                            : sim::make_voltrino_world();
+  trace::TraceCapture capture;
+  world->attach_tracer(&capture.tracer());
+  world->enable_monitoring(spec.sample_period_s);
+  const int n = world->num_nodes();
+  simanom::inject_netoccupy(*world, 1 % n, (1 + n / 2) % n, /*ntasks=*/2,
+                            spec.intensity * 100.0 * 1024 * 1024,
+                            spec.duration_s);
+  apps::AppSpec app_spec = apps::app_by_name(spec.app);
+  app_spec.iterations = 1000000;
+  apps::BspApp::Placement placement;
+  for (int i = 0; i < spec.app_nodes; ++i)
+    placement.nodes.push_back(i * (n / spec.app_nodes));
+  placement.ranks_per_node = spec.ranks_per_node;
+  apps::BspApp app(*world, app_spec, placement);
+  world->run_until(spec.duration_s);
+  for (int i = 0; i < n; ++i)
+    EXPECT_TRUE(world->node_store(i).contains({"user", "procstat"})) << i;
+
+  NodeZeroOutputs out;
+  std::ostringstream csv;
+  metrics::write_csv(csv, world->node_store(0));
+  out.csv = csv.str();
+  std::ostringstream bin(std::ios::binary);
+  trace::write_binary(bin, capture.take());
+  out.trace_bin = bin.str();
+  return out;
+}
+
+TEST(MonitoringScope, NodeZeroOutputsMatchMonitoringEveryNode) {
+  // run_scenario monitors only node 0, the one node it reads. The CSV and
+  // the trace must not be able to tell.
+  for (const char* system : {"voltrino", "dragonfly1k"}) {
+    ScenarioSpec spec;
+    spec.name = std::string("scope_") + system;
+    spec.system = system;
+    spec.app = "CoMD";
+    spec.anomaly = "netoccupy";
+    spec.duration_s = 12.0;
+    spec.seed = derive_scenario_seed(99, 0);
+    const ScenarioResult run = run_scenario(spec, /*capture_trace=*/true);
+    ASSERT_EQ(run.status, ScenarioStatus::kDone) << run.error;
+    const NodeZeroOutputs reference = run_monitoring_every_node(spec);
+    EXPECT_FALSE(reference.csv.empty());
+    EXPECT_EQ(run.metrics_csv, reference.csv) << system;
+    EXPECT_EQ(run.trace_bin, reference.trace_bin) << system;
+  }
+}
+
+TEST(MonitoringScope, UnmonitoredNodesAndBadListsAreRejected) {
+  auto world = sim::make_voltrino_world();
+  world->enable_monitoring(1.0, {3, 1});
+  world->run_until(2.0);
+  EXPECT_TRUE(world->node_store(3).contains({"user", "procstat"}));
+  EXPECT_TRUE(world->node_store(1).contains({"user", "procstat"}));
+  for (const int id : {0, 2, 7, -1, 8}) {
+    try {
+      world->node_store(id);
+      ADD_FAILURE() << "node_store(" << id << ") did not throw";
+    } catch (const InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find("node " + std::to_string(id)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(sim::make_voltrino_world()->enable_monitoring(1.0, {8}),
+               InvariantError);
+  EXPECT_THROW(sim::make_voltrino_world()->enable_monitoring(1.0, {-1}),
+               InvariantError);
+  EXPECT_THROW(sim::make_voltrino_world()->enable_monitoring(1.0, {2, 5, 2}),
+               InvariantError);
+  EXPECT_THROW(world->enable_monitoring(1.0, {0}), InvariantError);
 }
 
 TEST(SweepDeterminism, ByteIdenticalAcrossThreadCounts) {
