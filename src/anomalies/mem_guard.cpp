@@ -2,19 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
 #include <sstream>
+
+#include "common/bytes.hpp"
 
 namespace hpas::anomalies {
 namespace {
-
-std::optional<std::string> read_whole_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 std::optional<std::uint64_t> parse_u64(const std::string& text) {
   std::uint64_t value = 0;
@@ -61,7 +54,7 @@ std::optional<std::uint64_t> parse_cgroup_bytes(const std::string& text) {
 
 std::optional<std::uint64_t> available_memory_bytes() {
   std::optional<std::uint64_t> headroom;
-  if (const auto meminfo = read_whole_file("/proc/meminfo")) {
+  if (const auto meminfo = read_file("/proc/meminfo")) {
     if (const auto avail = parse_meminfo_available(*meminfo))
       headroom = *avail;
   }
@@ -69,8 +62,8 @@ std::optional<std::uint64_t> available_memory_bytes() {
   // in. Nested cgroups would require walking /proc/self/cgroup; the root
   // of the mounted hierarchy is the common container case and is where
   // the OOM kill actually bites.
-  const auto max_text = read_whole_file("/sys/fs/cgroup/memory.max");
-  const auto cur_text = read_whole_file("/sys/fs/cgroup/memory.current");
+  const auto max_text = read_file("/sys/fs/cgroup/memory.max");
+  const auto cur_text = read_file("/sys/fs/cgroup/memory.current");
   if (max_text && cur_text) {
     const auto limit = parse_cgroup_bytes(*max_text);
     const auto current = parse_cgroup_bytes(*cur_text);

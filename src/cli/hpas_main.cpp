@@ -36,8 +36,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,6 +49,7 @@
 #include "common/shutdown.hpp"
 #include "common/units.hpp"
 #include "dataset/factory.hpp"
+#include "faultline/durable.hpp"
 #include "faultline/faultline.hpp"
 #include "runner/runner.hpp"
 #include "runner/thread_pool.hpp"
@@ -280,31 +279,15 @@ int run_sweep_command(const std::vector<std::string>& argv) {
   return 0;
 }
 
-/// Temp-sibling + rename, mirroring the runner's atomic output writes.
-void write_text_file(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw hpas::SystemError("cannot write " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) throw hpas::SystemError("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    throw hpas::SystemError("cannot rename " + tmp + " to " + path);
-}
-
-hpas::Json load_json_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw hpas::SystemError("cannot read " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return hpas::Json::parse(text.str());
-}
+/// CLI output files take the durable path sweep outputs take (tmp,
+/// fsync, rename, directory fsync) on the faultline output edge.
+constexpr auto kOutput = hpas::faultline::Domain::kOutput;
+using hpas::faultline::write_file_atomic;
 
 /// Re-runs one frontier entry and verifies it reproduces the recorded
 /// summary row byte-for-byte. Exit 0 = reproduced, 3 = mismatch.
 int run_search_replay(const hpas::ParsedArgs& args) {
-  const hpas::Json doc = load_json_file(args.value("replay"));
+  const hpas::Json doc = hpas::Json::load_file(args.value("replay"));
   const hpas::Json* entry = nullptr;
   if (args.flag("minimized")) {
     entry = doc.find("minimized");
@@ -334,8 +317,8 @@ int run_search_replay(const hpas::ParsedArgs& args) {
   if (args.flag("trace") && !result.trace_bin.empty()) {
     const std::string out_dir = args.value("out");
     std::filesystem::create_directories(out_dir);
-    write_text_file(out_dir + "/" + spec.name + ".trace.bin",
-                    result.trace_bin);
+    write_file_atomic(kOutput, out_dir + "/" + spec.name + ".trace.bin",
+                      result.trace_bin);
     std::printf("wrote %s/%s.trace.bin (%llu records)\n", out_dir.c_str(),
                 spec.name.c_str(),
                 static_cast<unsigned long long>(result.trace_records));
@@ -464,8 +447,8 @@ int run_search_command(const std::vector<std::string>& argv) {
   const auto result = hpas::search::run_search(space, options);
 
   const std::string frontier_path = out_dir + "/frontier.json";
-  write_text_file(frontier_path,
-                  result.frontier_json(space, frontier_path).dump(2));
+  write_file_atomic(kOutput, frontier_path,
+                    result.frontier_json(space, frontier_path).dump(2));
 
   for (std::size_t i = 0; i < result.frontier.size(); ++i) {
     const auto& e = result.frontier[i];
@@ -483,8 +466,8 @@ int run_search_command(const std::vector<std::string>& argv) {
     for (const auto& e : result.frontier) {
       const auto rerun =
           hpas::runner::run_scenario(e.spec, /*capture_trace=*/true);
-      write_text_file(out_dir + "/" + e.spec.name + ".trace.bin",
-                      rerun.trace_bin);
+      write_file_atomic(kOutput, out_dir + "/" + e.spec.name + ".trace.bin",
+                        rerun.trace_bin);
     }
     std::printf("wrote %zu frontier trace(s) to %s/\n",
                 result.frontier.size(), out_dir.c_str());
@@ -738,8 +721,9 @@ int run_submit_command(const std::vector<std::string>& argv) {
       if (args.has("out")) {
         const hpas::Json* csv = outcome.find("metrics_csv");
         if (csv != nullptr)
-          write_text_file(args.value("out") + "/" + spec.name + ".csv",
-                          csv->as_string());
+          write_file_atomic(kOutput,
+                            args.value("out") + "/" + spec.name + ".csv",
+                            csv->as_string());
       }
     } else if (type == "draining") {
       ++refused;
@@ -869,7 +853,7 @@ int run_dataset_command(const std::vector<std::string>& argv) {
                    "       hpas dataset -o DIR --manifest-only\n");
       return 2;
     }
-    const hpas::Json doc = load_json_file(args.positional()[0]);
+    const hpas::Json doc = hpas::Json::load_file(args.positional()[0]);
     if (doc.find("dimensions") != nullptr) {
       auto space = hpas::search::ScenarioSpace::from_json(doc);
       if (args.has("seed"))

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 
 namespace hpas {
@@ -313,6 +314,12 @@ Json& Json::push_back(Json value) {
 
 Json Json::parse(std::string_view text) {
   return Parser(text).parse_document();
+}
+
+Json Json::load_file(const std::string& path) {
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw SystemError("cannot read " + path);
+  return parse(*text);
 }
 
 void Json::write(std::string& out, int indent, int depth) const {

@@ -77,6 +77,9 @@ class Json {
   /// Parses a complete JSON document (trailing garbage is an error).
   /// Throws ConfigError with a line/column position on malformed input.
   static Json parse(std::string_view text);
+  /// Reads and parses the file at `path`. Throws SystemError when it
+  /// cannot be read, ConfigError when it is malformed.
+  static Json load_file(const std::string& path);
 
   /// Serializes deterministically. indent < 0 => compact single line;
   /// indent >= 0 => pretty-printed with that many spaces per level and a

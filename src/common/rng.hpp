@@ -13,8 +13,12 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <string_view>
 #include <vector>
+
+#include "common/crc32.hpp"
 
 namespace hpas {
 
@@ -34,6 +38,29 @@ class SplitMix64 {
  private:
   std::uint64_t state_;
 };
+
+/// Folds `v` into the running digest `h`, with the splitmix64 finalizer
+/// as the mixing step: full avalanche per field, so adjacent inputs
+/// (intensity 1.0 vs 1.5) land far apart. Builds the journal's scenario
+/// key hash and the dataset's checkpoint keys.
+inline void hash_combine(std::uint64_t& h, std::uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+}
+
+/// A double folds in by its bit pattern, a string by length and CRC32.
+inline void hash_combine_double(std::uint64_t& h, double v) {
+  hash_combine(h, std::bit_cast<std::uint64_t>(v));
+}
+
+inline void hash_combine_string(std::uint64_t& h, std::string_view s) {
+  hash_combine(h, s.size());
+  hash_combine(h, crc32(s));
+}
 
 /// xoshiro256**: the main HPAS generator. Satisfies (most of) the C++
 /// UniformRandomBitGenerator concept so it can be used with <random>

@@ -4,8 +4,8 @@
 #include <atomic>
 #include <utility>
 
-#include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "dataset/streaming.hpp"
 #include "runner/journal.hpp"
 #include "runner/runner.hpp"
@@ -19,28 +19,6 @@ namespace {
 constexpr std::uint64_t kPlanSeed = 0x4450534554504c4eULL;  // "DPSETPLN"
 constexpr std::uint64_t kRowSeed = 0x44535452ULL;           // "DSTR"
 constexpr std::uint64_t kNoiseStream = 0x4e6f697365ULL;     // "Noise"
-
-/// splitmix-style combine, same shape as the journal key hash.
-void mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-}
-
-void mix_string(std::uint64_t& h, const std::string& s) {
-  mix(h, s.size());
-  mix(h, crc32(s));
-}
-
-void mix_double(std::uint64_t& h, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  __builtin_memcpy(&bits, &v, sizeof(bits));
-  mix(h, bits);
-}
 
 /// Class label from an anomaly name, growing the label map in
 /// first-appearance order (deterministic: plans are built serially).
@@ -76,18 +54,18 @@ StreamingExtractorConfig extractor_config(bool include_bandwidth,
 
 std::uint64_t DatasetPlan::digest() const {
   std::uint64_t h = kPlanSeed;
-  mix_string(h, name);
-  mix(h, rows.size());
-  mix(h, feature_names.size());
-  mix(h, class_names.size());
-  for (const std::string& c : class_names) mix_string(h, c);
-  mix_double(h, warmup_s);
-  mix_double(h, noise);
-  mix(h, include_bandwidth ? 1 : 0);
+  hash_combine_string(h, name);
+  hash_combine(h, rows.size());
+  hash_combine(h, feature_names.size());
+  hash_combine(h, class_names.size());
+  for (const std::string& c : class_names) hash_combine_string(h, c);
+  hash_combine_double(h, warmup_s);
+  hash_combine_double(h, noise);
+  hash_combine(h, include_bandwidth ? 1 : 0);
   for (const DatasetRowSpec& row : rows) {
-    mix(h, static_cast<std::uint64_t>(row.kind));
-    mix(h, static_cast<std::uint64_t>(row.label));
-    mix(h, row.key_hash);
+    hash_combine(h, static_cast<std::uint64_t>(row.kind));
+    hash_combine(h, static_cast<std::uint64_t>(row.label));
+    hash_combine(h, row.key_hash);
   }
   return h;
 }
@@ -118,12 +96,12 @@ DatasetPlan plan_from_diagnosis(const ml::DiagnosisDataOptions& options) {
     row.kind = DatasetRowSpec::Kind::kDiagnosis;
     row.label = run.label;
     std::uint64_t h = kRowSeed;
-    mix(h, options.seed);
-    mix(h, index);
-    mix_string(h, run.app);
-    mix_string(h, run.anomaly);
-    mix(h, static_cast<std::uint64_t>(run.label));
-    mix_double(h, run.intensity);
+    hash_combine(h, options.seed);
+    hash_combine(h, index);
+    hash_combine_string(h, run.app);
+    hash_combine_string(h, run.anomaly);
+    hash_combine(h, static_cast<std::uint64_t>(run.label));
+    hash_combine_double(h, run.intensity);
     row.key_hash = h;
     row.diag = std::move(run);
     plan.rows.push_back(std::move(row));
@@ -160,8 +138,8 @@ DatasetPlan plan_from_grid(const runner::SweepGrid& grid, std::uint64_t rows,
     row.spec.name += "#" + std::to_string(r);
     row.label = label_of(plan.class_names, row.spec.anomaly);
     std::uint64_t h = kRowSeed;
-    mix(h, r);
-    mix(h, runner::scenario_key_hash(row.spec));
+    hash_combine(h, r);
+    hash_combine(h, runner::scenario_key_hash(row.spec));
     row.key_hash = h;
     plan.rows.push_back(std::move(row));
   }
@@ -197,8 +175,8 @@ DatasetPlan plan_from_space(const search::ScenarioSpace& space,
     row.spec.name += "#" + std::to_string(r);
     row.label = label_of(plan.class_names, row.spec.anomaly);
     std::uint64_t h = kRowSeed;
-    mix(h, r);
-    mix(h, runner::scenario_key_hash(row.spec));
+    hash_combine(h, r);
+    hash_combine(h, runner::scenario_key_hash(row.spec));
     row.key_hash = h;
     plan.rows.push_back(std::move(row));
   }

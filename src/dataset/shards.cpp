@@ -10,11 +10,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <optional>
 
-#include "common/crc32.hpp"
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/rng.hpp"
+#include "faultline/durable.hpp"
 #include "runner/journal.hpp"
 
 namespace hpas::dataset {
@@ -26,61 +28,16 @@ constexpr std::size_t kShardHeaderSize = 24;  // magic + 4 x u32
 constexpr char kJournalName[] = "dataset.journal";
 constexpr char kManifestName[] = "manifest.json";
 constexpr char kCsvName[] = "dataset.csv";
+/// Shards, the manifest and the CSV export are outputs: they take the
+/// faultline output edge, outside the default crash mask. The journal
+/// keeps its own (journal) edge.
+constexpr faultline::Domain kOutput = faultline::Domain::kOutput;
+/// CSV export bytes buffered per write() during the read-back pass.
+constexpr std::size_t kCsvFlushBytes = 1 << 20;
 /// Parked out-of-order rows are structurally bounded by the pool's
 /// submission backpressure (queue capacity 256 + workers); anything near
 /// this cap means the sequencer invariant broke, not a big machine.
 constexpr std::size_t kMaxPendingRows = 8192;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-double get_f64(const unsigned char* p) {
-  const std::uint64_t bits = get_u64(p);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-void write_all(int fd, const std::string& path, const char* data,
-               std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t w = ::write(fd, data + done, size - done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw SystemError("dataset: write failed on " + path + ": " +
-                        std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(w);
-  }
-}
 
 std::string shard_header_bytes(std::uint32_t index, std::uint32_t shard_count,
                                std::uint32_t num_features) {
@@ -90,30 +47,6 @@ std::string shard_header_bytes(std::uint32_t index, std::uint32_t shard_count,
   put_u32(h, shard_count);
   put_u32(h, num_features);
   return h;
-}
-
-void write_file_atomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open())
-      throw SystemError("dataset: cannot write " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out.good()) throw SystemError("dataset: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    throw SystemError("dataset: rename " + tmp + " -> " + path + " failed: " +
-                      std::strerror(errno));
-}
-
-/// splitmix-style combine (same shape as the journal's key hash).
-void mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
 }
 
 // --- read-back scan ----------------------------------------------------
@@ -152,7 +85,7 @@ struct ShardReader {
 /// structural error (frames cannot be realigned past corruption).
 ScanResult scan_shards(const std::string& dir, std::uint32_t shards,
                        std::uint32_t num_features, std::size_t num_classes,
-                       std::ostream* csv) {
+                       faultline::AtomicFile* csv) {
   ScanResult r;
   r.shard_rows.assign(shards, 0);
   r.shard_bytes.assign(shards, 0);
@@ -189,7 +122,8 @@ ScanResult scan_shards(const std::string& dir, std::uint32_t shards,
   }
 
   const std::size_t payload_size = 12 + 8 * std::size_t{num_features};
-  std::string frame(8 + payload_size, '\0');
+  std::string frame(kFrameOverhead + payload_size, '\0');
+  std::string csv_buf;
   for (std::uint64_t row = 0;; ++row) {
     ShardReader& rd = readers[shard_of_row(row, shards)];
     if (rd.exhausted) break;
@@ -214,8 +148,7 @@ ScanResult scan_shards(const std::string& dir, std::uint32_t shards,
       return r;
     }
     const unsigned char* payload = p + 4;
-    const std::uint32_t stored = get_u32(payload + payload_size);
-    if (crc32(payload, payload_size) != stored) {
+    if (frame_damage(p, frame.size(), len) != nullptr) {
       r.errors.push_back("frame CRC mismatch at row " + std::to_string(row) +
                          " in " + rd.path);
       return r;
@@ -238,9 +171,8 @@ ScanResult scan_shards(const std::string& dir, std::uint32_t shards,
     ++r.shard_rows[shard_of_row(row, shards)];
     ++r.rows;
 
-    if (csv != nullptr) {
-      *csv << row << ',' << label;
-    }
+    if (csv != nullptr)
+      csv_buf += std::to_string(row) + ',' + std::to_string(label);
     for (std::uint32_t f = 0; f < num_features; ++f) {
       const unsigned char* cell = payload + 12 + 8 * std::size_t{f};
       r.feature_crc[f] = crc32_update(r.feature_crc[f], cell, 8);
@@ -257,10 +189,17 @@ ScanResult scan_shards(const std::string& dir, std::uint32_t shards,
       const double delta = v - agg.mean;
       agg.mean += delta / static_cast<double>(agg.count);
       agg.m2 += delta * (v - agg.mean);
-      if (csv != nullptr) *csv << ',' << json_number_to_string(v);
+      if (csv != nullptr) csv_buf += ',' + json_number_to_string(v);
     }
-    if (csv != nullptr) *csv << '\n';
+    if (csv != nullptr) {
+      csv_buf += '\n';
+      if (csv_buf.size() >= kCsvFlushBytes) {
+        csv->write(csv_buf);
+        csv_buf.clear();
+      }
+    }
   }
+  if (csv != nullptr) csv->write(csv_buf);
 
   for (std::uint32_t s = 0; s < shards; ++s) {
     ShardReader& rd = readers[s];
@@ -287,24 +226,7 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-Json load_json_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) throw SystemError("dataset: cannot read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return Json::parse(buf.str());
-}
-
 }  // namespace
-
-/// Owns the runner journal (kept out of the header so shards.hpp does
-/// not leak the runner dependency into every includer).
-class JournalHolder {
- public:
-  JournalHolder(const std::string& path, bool truncate)
-      : writer(path, truncate) {}
-  runner::JournalWriter writer;
-};
 
 std::string shard_file_name(std::uint32_t index) {
   char buf[32];
@@ -319,8 +241,8 @@ std::uint64_t shard_row_count(std::uint64_t rows, std::uint32_t shards,
 
 std::uint64_t DatasetWriter::checkpoint_key(std::uint32_t index) const {
   std::uint64_t h = meta_.plan_digest;
-  mix(h, 0x5348415244ULL);  // "SHARD"
-  mix(h, index);
+  hash_combine(h, 0x5348415244ULL);  // "SHARD"
+  hash_combine(h, index);
   return h;
 }
 
@@ -347,14 +269,14 @@ DatasetWriter::DatasetWriter(DatasetMeta meta, DatasetWriterOptions options)
   if (!options_.resume) {
     for (std::uint32_t s = 0; s < meta_.shards; ++s)
       create_fresh(shards_[s], s);
-    journal_ = std::make_unique<JournalHolder>(journal_path, true);
-    journal_->writer.append(header);
+    journal_ = runner::rewrite_journal(journal_path, {header});
     return;
   }
 
   // Resume: the journal's valid prefix names, per shard, the newest
   // durable (fsync-before-journal) prefix. A torn tail is the expected
-  // post-crash state; the journal is rewritten below, so it self-heals.
+  // post-crash state; the journal is rewritten (by rename) below, so it
+  // self-heals.
   const auto read = runner::read_journal(journal_path);
   std::vector<std::vector<const runner::JournalRecord*>> checkpoints(
       meta_.shards);
@@ -390,11 +312,12 @@ DatasetWriter::DatasetWriter(DatasetMeta meta, DatasetWriterOptions options)
     }
     if (!adopted) create_fresh(shards_[s], s);
   }
-  journal_ = std::make_unique<JournalHolder>(journal_path, true);
-  journal_->writer.append(header);
+  std::vector<runner::JournalRecord> records = {header};
   for (std::uint32_t s = 0; s < meta_.shards; ++s) {
-    if (shards_[s].durable_rows > 0) checkpoint(shards_[s], s);
+    if (shards_[s].durable_rows > 0)
+      records.push_back(sync_checkpoint(shards_[s], s));
   }
+  journal_ = runner::rewrite_journal(journal_path, records);
 }
 
 DatasetWriter::~DatasetWriter() {
@@ -413,7 +336,8 @@ void DatasetWriter::create_fresh(Shard& shard, std::uint32_t index) {
                       std::strerror(errno));
   const std::string header =
       shard_header_bytes(index, meta_.shards, meta_.num_features);
-  write_all(shard.fd, shard.path, header.data(), header.size());
+  faultline::write_all(kOutput, shard.fd, header.data(), header.size(),
+                       shard.path);
   shard.crc_state = crc32_update(crc32_init(), header.data(), header.size());
   shard.bytes = header.size();
   shard.rows = 0;
@@ -487,28 +411,26 @@ void DatasetWriter::write_row(Shard& shard, std::uint32_t index,
                               std::uint64_t row, int label,
                               std::span<const double> features) {
   std::string frame;
-  frame.reserve(8 + 12 + 8 * features.size());
-  put_u32(frame, static_cast<std::uint32_t>(12 + 8 * features.size()));
-  const std::size_t payload_begin = frame.size();
+  frame.reserve(kFrameOverhead + 12 + 8 * features.size());
+  const std::size_t payload = begin_frame(frame);
   put_u64(frame, row);
   put_u32(frame, static_cast<std::uint32_t>(label));
   for (const double v : features) put_f64(frame, v);
-  put_u32(frame, crc32(frame.data() + payload_begin,
-                       frame.size() - payload_begin));
-  write_all(shard.fd, shard.path, frame.data(), frame.size());
+  end_frame(frame, payload);
+  faultline::write_all(kOutput, shard.fd, frame.data(), frame.size(),
+                       shard.path);
   shard.crc_state = crc32_update(shard.crc_state, frame.data(), frame.size());
   shard.bytes += frame.size();
   ++shard.rows;
   (void)index;
 }
 
-void DatasetWriter::checkpoint(Shard& shard, std::uint32_t index) {
+runner::JournalRecord DatasetWriter::sync_checkpoint(Shard& shard,
+                                                     std::uint32_t index) {
   // Durability order is the resume contract: shard bytes reach disk
   // BEFORE the journal record that describes them, so a validated
   // checkpoint always names an intact prefix.
-  if (::fsync(shard.fd) != 0)
-    throw SystemError("dataset: fsync failed on " + shard.path + ": " +
-                      std::strerror(errno));
+  faultline::fsync_or_throw(kOutput, shard.fd, shard.path);
   runner::JournalRecord rec;
   rec.key_hash = checkpoint_key(index);
   rec.status = runner::JournalStatus::kDone;
@@ -517,7 +439,11 @@ void DatasetWriter::checkpoint(Shard& shard, std::uint32_t index) {
   rec.csv_crc = crc32_final(shard.crc_state);
   rec.trace_records = shard.bytes;
   rec.app_iterations = shard.rows;
-  journal_->writer.append(rec);
+  return rec;
+}
+
+void DatasetWriter::checkpoint(Shard& shard, std::uint32_t index) {
+  journal_->append(sync_checkpoint(shard, index));
   shard.checkpoint_rows = shard.rows;
 }
 
@@ -586,19 +512,16 @@ std::string DatasetWriter::finish(bool write_csv) {
   // Read-back pass: verifies every byte just written and aggregates the
   // manifest facts in plan order (so the manifest, like the shards, is
   // independent of thread count and resume history).
-  std::ofstream csv;
-  const std::string csv_path = options_.out_dir + "/" + kCsvName;
-  const std::string csv_tmp = csv_path + ".tmp";
+  std::optional<faultline::AtomicFile> csv;
   if (write_csv) {
-    csv.open(csv_tmp, std::ios::binary | std::ios::trunc);
-    if (!csv.is_open()) throw SystemError("dataset: cannot write " + csv_tmp);
-    csv << "row,label";
-    for (const std::string& name : meta_.feature_names) csv << ',' << name;
-    csv << '\n';
+    csv.emplace(kOutput, options_.out_dir + "/" + kCsvName);
+    std::string header = "row,label";
+    for (const std::string& name : meta_.feature_names) header += ',' + name;
+    csv->write(header + '\n');
   }
   ScanResult scan =
       scan_shards(options_.out_dir, meta_.shards, meta_.num_features,
-                  meta_.class_names.size(), write_csv ? &csv : nullptr);
+                  meta_.class_names.size(), csv ? &*csv : nullptr);
   if (!scan.errors.empty())
     throw SystemError("dataset: read-back verification failed: " +
                       scan.errors.front());
@@ -607,12 +530,7 @@ std::string DatasetWriter::finish(bool write_csv) {
     require(scan.shard_crc[s] == crc32_final(shards_[s].crc_state),
             "dataset: read-back CRC diverged from incremental CRC");
   }
-  if (write_csv) {
-    csv.close();
-    if (std::rename(csv_tmp.c_str(), csv_path.c_str()) != 0)
-      throw SystemError("dataset: rename " + csv_tmp + " -> " + csv_path +
-                        " failed: " + std::strerror(errno));
-  }
+  if (csv) csv->commit();
 
   Json m = Json::object();
   m.set("format", Json("hpas-dataset-v1"));
@@ -661,7 +579,7 @@ std::string DatasetWriter::finish(bool write_csv) {
   m.set("feature_stats", std::move(feature_stats));
 
   const std::string manifest_path = options_.out_dir + "/" + kManifestName;
-  write_file_atomic(manifest_path, m.dump(2));
+  faultline::write_file_atomic(kOutput, manifest_path, m.dump(2));
   return manifest_path;
 }
 
@@ -669,7 +587,7 @@ VerifyReport verify_dataset(const std::string& dir) {
   VerifyReport report;
   Json manifest;
   try {
-    manifest = load_json_file(dir + "/" + kManifestName);
+    manifest = Json::load_file(dir + "/" + kManifestName);
   } catch (const std::exception& e) {
     report.errors.push_back(std::string("manifest unreadable: ") + e.what());
     return report;

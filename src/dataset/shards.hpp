@@ -12,12 +12,13 @@
 //                      plus periodic per-shard checkpoint records, each
 //                      appended only after the shard prefix it describes
 //                      has been fsync'd. Resume truncates every shard to
-//                      its newest CRC-validating checkpointed prefix and
-//                      re-runs the missing rows, which reproduces the
-//                      uninterrupted bytes exactly.
-//   manifest.json      written last (atomic tmp+rename) by a full
-//                      read-back pass: per-shard row counts / byte sizes /
-//                      whole-file CRCs, per-feature column CRCs and
+//                      its newest CRC-validating checkpointed prefix,
+//                      rewrites the journal by rename to name exactly
+//                      those prefixes, and re-runs the missing rows, which
+//                      reproduces the uninterrupted bytes exactly.
+//   manifest.json      written last (faultline::write_file_atomic) by a
+//                      full read-back pass: per-shard row counts / byte
+//                      sizes / whole-file CRCs, per-feature column CRCs and
 //                      online stats (fed in plan order), the label map
 //                      and label histogram.
 //   dataset.csv        optional plan-order CSV export.
@@ -42,6 +43,11 @@
 #include <span>
 #include <string>
 #include <vector>
+
+namespace hpas::runner {
+struct JournalRecord;
+class JournalWriter;
+}  // namespace hpas::runner
 
 namespace hpas::dataset {
 
@@ -127,13 +133,17 @@ class DatasetWriter {
                       std::uint32_t ckpt_crc);
   void write_row(Shard& shard, std::uint32_t index, std::uint64_t row,
                  int label, std::span<const double> features);
+  /// fsyncs the shard and returns the checkpoint record naming its
+  /// now-durable prefix.
+  runner::JournalRecord sync_checkpoint(Shard& shard, std::uint32_t index);
+  /// sync_checkpoint(), then journals the record.
   void checkpoint(Shard& shard, std::uint32_t index);
   std::uint64_t checkpoint_key(std::uint32_t index) const;
 
   DatasetMeta meta_;
   DatasetWriterOptions options_;
   std::vector<Shard> shards_;
-  std::unique_ptr<class JournalHolder> journal_;
+  std::unique_ptr<runner::JournalWriter> journal_;
   std::mutex mutex_;
   bool abandoned_ = false;
   bool finished_ = false;

@@ -1,0 +1,62 @@
+// Durable file writes: the one write path behind every journal, spool
+// file, sweep output, dataset shard and manifest, and CLI output file.
+//
+// write_file_atomic (and AtomicFile, its streaming form) publishes a
+// whole file so that a crash at any point leaves either the old file or
+// the complete new one, never a torn or empty target:
+//
+//   open <path>.tmp (O_TRUNC) -> write_all -> fsync -> close
+//     -> rename over <path> -> fsync the parent directory
+//
+// Each step goes through the faultline wrappers of the caller's domain,
+// so a schedule can fail, tear or crash it at any point. On any failure
+// the temporary is unlinked before SystemError propagates. Journals use
+// kJournal and the server spool kCache (both in the default crash mask);
+// sweep, dataset and CLI outputs use kOutput, which is outside it.
+#pragma once
+
+#include <cstddef>
+#include <string>
+#include <string_view>
+
+#include "faultline/faultline.hpp"
+
+namespace hpas::faultline {
+
+/// Writes all `n` bytes through the `d` edge, retrying short writes and
+/// EINTR. Throws SystemError naming `path` on any other failure.
+void write_all(Domain d, int fd, const void* data, std::size_t n,
+               const std::string& path);
+
+/// fsync through the `d` edge; throws SystemError naming `path` when it
+/// fails.
+void fsync_or_throw(Domain d, int fd, const std::string& path);
+
+/// A file built up in `<path>.tmp` and published at `path` by commit().
+/// Destroying it uncommitted (an exception, an abandoned write) closes
+/// and unlinks the temporary, leaving any old `path` untouched.
+class AtomicFile {
+ public:
+  AtomicFile(Domain d, std::string path);
+  ~AtomicFile();
+
+  AtomicFile(const AtomicFile&) = delete;
+  AtomicFile& operator=(const AtomicFile&) = delete;
+
+  void write(std::string_view bytes);
+  /// fsync, close, rename over `path`, fsync the parent directory.
+  void commit();
+
+ private:
+  Domain domain_;
+  std::string path_;
+  std::string tmp_;
+  int fd_ = -1;
+  bool renamed_ = false;
+};
+
+/// Publishes `bytes` at `path` through one AtomicFile.
+void write_file_atomic(Domain d, const std::string& path,
+                       std::string_view bytes);
+
+}  // namespace hpas::faultline

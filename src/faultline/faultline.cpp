@@ -8,12 +8,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
@@ -58,8 +58,8 @@ int errno_from_name(const std::string& name) {
   throw ConfigError("faultline: unknown errno name: " + name);
 }
 
-constexpr const char* kDomainNames[kDomainCount] = {"journal", "cache",
-                                                    "socket", "client"};
+constexpr const char* kDomainNames[kDomainCount] = {
+    "journal", "cache", "socket", "client", "output"};
 constexpr const char* kOpNames[kOpCount] = {"read", "write", "fsync",
                                             "rename"};
 constexpr const char* kKindNames[] = {"short_write", "short_read", "errno",
@@ -334,12 +334,10 @@ FaultSchedule FaultSchedule::parse(const std::string& text) {
 }
 
 FaultSchedule FaultSchedule::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in)
+  const std::optional<std::string> text = read_file(path);
+  if (!text)
     throw SystemError("faultline: cannot read schedule file " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse(text.str());
+  return parse(*text);
 }
 
 Json FaultSchedule::to_json() const {

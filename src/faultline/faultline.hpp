@@ -1,9 +1,10 @@
 // faultline -- deterministic, seeded fault injection for every I/O edge
 // the durability argument depends on.
 //
-// The journal writer, the cache spool path, the wire protocol, and the
-// submit client do their raw I/O through the interposed syscall wrappers
-// below (faultline::write / read / send / fsync / rename_file). With no
+// The journal writer, the cache spool path, every durable output file
+// (durable.hpp), the wire protocol, and the submit client do their raw
+// I/O through the interposed syscall wrappers below
+// (faultline::write / read / send / fsync / rename_file). With no
 // schedule armed they are one relaxed atomic load away from the real
 // syscall -- compiled in always, zero cost, and never part of scenario
 // identity. Arm a FaultSchedule (programmatically in tests, or via
@@ -57,8 +58,9 @@ enum class Domain : std::uint8_t {
   kCache = 1,    ///< result-cache spool writes, fsync, rename
   kSocket = 2,   ///< server-side frame codec reads/writes
   kClient = 3,   ///< submit-client frame codec reads/writes
+  kOutput = 4,   ///< sweep, dataset and CLI output files (durable.hpp)
 };
-inline constexpr std::size_t kDomainCount = 4;
+inline constexpr std::size_t kDomainCount = 5;
 
 enum class Op : std::uint8_t {
   kRead = 0,
@@ -113,7 +115,8 @@ struct FaultSchedule {
   std::int64_t crash_at = -1;   ///< crash-point index to die at; -1 = off
   /// Domains whose wrapper calls count crash points (bitmask of
   /// 1 << Domain). Defaults to journal + cache: the write sequence the
-  /// durability argument is about.
+  /// durability argument is about. kOutput is off by default, so output
+  /// files never move a journal/cache crash-point index.
   std::uint32_t crash_domains =
       (1u << static_cast<unsigned>(Domain::kJournal)) |
       (1u << static_cast<unsigned>(Domain::kCache));

@@ -2,11 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "anomalies/suite.hpp"
 #include "apps/profiles.hpp"
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -135,12 +134,10 @@ SweepGrid expand_grid(const Json& spec) {
 }
 
 SweepGrid load_grid_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw SystemError("cannot read grid file: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw SystemError("cannot read grid file: " + path);
   try {
-    return expand_grid(Json::parse(text.str()));
+    return expand_grid(Json::parse(*text));
   } catch (const ConfigError& e) {
     throw ConfigError(path + ": " + e.what());
   }

@@ -5,141 +5,47 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
-#include "common/crc32.hpp"
+#include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "faultline/faultline.hpp"
+#include "common/rng.hpp"
+#include "faultline/durable.hpp"
 
 namespace hpas::runner {
 namespace {
 
 constexpr char kMagic[8] = {'H', 'P', 'A', 'S', 'J', 'N', 'L', '1'};
+/// Every journal byte, rewrites included, leaves through this faultline
+/// edge, so injected faults and crash points hit the path real disks
+/// fail on.
+constexpr faultline::Domain kDomain = faultline::Domain::kJournal;
 
-/// All journal bytes leave through here: a short-write retry loop over
-/// the faultline journal domain, so injected short writes, EIO/ENOSPC,
-/// and torn-write crash points hit exactly the path real disks fail on.
-void write_all(int fd, const std::string& path, const char* data,
-               std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t w = faultline::write(faultline::Domain::kJournal, fd,
-                                       data + done, size - done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw SystemError("journal: write failed on " + path + ": " +
-                        std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(w);
-  }
-}
-
-// --- little-endian payload serialization -------------------------------
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-// Bounds-checked cursor over a payload. Failed reads set `ok` false and
-// return zeros, so the caller can decode unconditionally and check once.
-struct Cursor {
-  const unsigned char* p;
-  std::size_t n;
-  std::size_t off = 0;
-  bool ok = true;
-
-  bool take(std::size_t k) {
-    if (!ok || n - off < k) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  std::uint8_t u8() {
-    if (!take(1)) return 0;
-    return p[off++];
-  }
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(p[off + static_cast<std::size_t>(i)])
-           << (8 * i);
-    off += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(p[off + static_cast<std::size_t>(i)])
-           << (8 * i);
-    off += 8;
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (!take(len)) return {};
-    std::string s(reinterpret_cast<const char*>(p + off), len);
-    off += len;
-    return s;
-  }
-};
-
-std::string encode_record(const JournalRecord& r) {
-  std::string payload;
-  put_u64(payload, r.key_hash);
-  put_u8(payload, static_cast<std::uint8_t>(r.status));
-  put_string(payload, r.name);
-  put_string(payload, r.output);
-  put_u32(payload, r.csv_crc);
-  put_u32(payload, r.trace_crc);
-  put_u64(payload, r.trace_records);
-  put_u64(payload, r.app_iterations);
-  put_f64(payload, r.app_elapsed_s);
-  put_f64(payload, r.wall_seconds);
-  put_string(payload, r.error);
+/// Appends `r` as one frame to `out`.
+void append_record_frame(std::string& out, const JournalRecord& r) {
+  const std::size_t payload = begin_frame(out);
+  put_u64(out, r.key_hash);
+  put_u8(out, static_cast<std::uint8_t>(r.status));
+  put_string(out, r.name);
+  put_string(out, r.output);
+  put_u32(out, r.csv_crc);
+  put_u32(out, r.trace_crc);
+  put_u64(out, r.trace_records);
+  put_u64(out, r.app_iterations);
+  put_f64(out, r.app_elapsed_s);
+  put_f64(out, r.wall_seconds);
+  put_string(out, r.error);
   if (r.has_objective) {
     // Trailing extension (see JournalRecord): absent in sweep records,
     // so their frames stay byte-identical to the legacy format.
-    put_u8(payload, 1);
-    put_f64(payload, r.objective);
+    put_u8(out, 1);
+    put_f64(out, r.objective);
   }
-  return payload;
+  end_frame(out, payload);
 }
 
 bool decode_record(const unsigned char* data, std::size_t n,
                    JournalRecord& out) {
-  Cursor c{data, n};
+  ByteCursor c{data, n};
   out.key_hash = c.u64();
   const std::uint8_t status = c.u8();
   out.name = c.str();
@@ -166,28 +72,6 @@ bool decode_record(const unsigned char* data, std::size_t n,
   return true;
 }
 
-void mix(std::uint64_t& h, std::uint64_t v) {
-  // splitmix64 finalizer as the combining step: full-avalanche per field,
-  // so adjacent grid points (intensity 1.0 vs 1.5) land far apart.
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-}
-
-void mix_string(std::uint64_t& h, const std::string& s) {
-  mix(h, s.size());
-  mix(h, crc32(s));
-}
-
-void mix_double(std::uint64_t& h, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  mix(h, bits);
-}
-
 }  // namespace
 
 const char* journal_status_name(JournalStatus status) {
@@ -202,19 +86,19 @@ const char* journal_status_name(JournalStatus status) {
 
 std::uint64_t scenario_key_hash(const ScenarioSpec& spec) {
   std::uint64_t h = 0x48504153'4a4e4c31ULL;  // "HPASJNL1"
-  mix_string(h, spec.name);
-  mix_string(h, spec.system);
-  mix_string(h, spec.app);
-  mix_string(h, spec.anomaly);
-  mix_double(h, spec.intensity);
-  mix_double(h, spec.duration_s);
-  mix_double(h, spec.sample_period_s);
-  mix(h, static_cast<std::uint64_t>(spec.app_nodes));
-  mix(h, static_cast<std::uint64_t>(spec.ranks_per_node));
-  mix(h, spec.run_to_completion ? 1u : 0u);
-  mix_double(h, spec.injector_fail_at_s);
-  mix(h, static_cast<std::uint64_t>(spec.injector_fail_tasks));
-  mix(h, spec.seed);
+  hash_combine_string(h, spec.name);
+  hash_combine_string(h, spec.system);
+  hash_combine_string(h, spec.app);
+  hash_combine_string(h, spec.anomaly);
+  hash_combine_double(h, spec.intensity);
+  hash_combine_double(h, spec.duration_s);
+  hash_combine_double(h, spec.sample_period_s);
+  hash_combine(h, static_cast<std::uint64_t>(spec.app_nodes));
+  hash_combine(h, static_cast<std::uint64_t>(spec.ranks_per_node));
+  hash_combine(h, spec.run_to_completion ? 1u : 0u);
+  hash_combine_double(h, spec.injector_fail_at_s);
+  hash_combine(h, static_cast<std::uint64_t>(spec.injector_fail_tasks));
+  hash_combine(h, spec.seed);
   return h;
 }
 
@@ -231,13 +115,13 @@ JournalWriter::JournalWriter(const std::string& path, bool truncate)
   const off_t end = ::lseek(fd_, 0, SEEK_END);
   if (end == 0) {
     try {
-      write_all(fd_, path, kMagic, sizeof(kMagic));
+      faultline::write_all(kDomain, fd_, kMagic, sizeof(kMagic), path);
+      faultline::fsync_or_throw(kDomain, fd_, path);
     } catch (const SystemError&) {
       ::close(fd_);
       fd_ = -1;
       throw;
     }
-    faultline::fsync(faultline::Domain::kJournal, fd_);
   }
 }
 
@@ -246,32 +130,32 @@ JournalWriter::~JournalWriter() {
 }
 
 void JournalWriter::append(const JournalRecord& record) {
-  const std::string payload = encode_record(record);
   std::string frame;
-  frame.reserve(payload.size() + 8);
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  frame.append(payload);
-  put_u32(frame, crc32(payload));
+  append_record_frame(frame, record);
   // One write() per frame: either the whole record lands or the reader
   // sees a short tail it can discard. fsync makes "journaled" mean
   // "survives SIGKILL and power loss", which is the resume contract.
-  write_all(fd_, path_, frame.data(), frame.size());
-  if (faultline::fsync(faultline::Domain::kJournal, fd_) != 0)
-    throw SystemError("journal: fsync failed on " + path_ + ": " +
-                      std::strerror(errno));
+  faultline::write_all(kDomain, fd_, frame.data(), frame.size(), path_);
+  faultline::fsync_or_throw(kDomain, fd_, path_);
+}
+
+std::unique_ptr<JournalWriter> rewrite_journal(
+    const std::string& path, const std::vector<JournalRecord>& records) {
+  std::string bytes(kMagic, sizeof(kMagic));
+  for (const JournalRecord& rec : records) append_record_frame(bytes, rec);
+  faultline::write_file_atomic(kDomain, path, bytes);
+  return std::make_unique<JournalWriter>(path, /*truncate=*/false);
 }
 
 JournalReadResult read_journal(const std::string& path) {
   JournalReadResult result;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
+  const std::optional<std::string> file = read_file(path);
+  if (!file) {
     if (::access(path.c_str(), F_OK) == 0)
       throw SystemError("journal: cannot read " + path);
     return result;  // no journal yet: a fresh sweep
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = buf.str();
+  const std::string& bytes = *file;
   if (bytes.size() < sizeof(kMagic) ||
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     result.damage = "bad or truncated journal header";
@@ -280,49 +164,23 @@ JournalReadResult read_journal(const std::string& path) {
 
   const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
   std::size_t off = sizeof(kMagic);
-  const std::size_t size = bytes.size();
   // Sanity cap on frame length: no real record approaches this, so a
   // huge length means we are reading garbage, not a record.
   constexpr std::uint32_t kMaxFrame = 1u << 20;
-  while (off < size) {
-    if (size - off < 4) {
-      result.dropped_frames = 1;
-      result.damage = "torn frame length at tail";
-      break;
-    }
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i)
-      len |= static_cast<std::uint32_t>(data[off + static_cast<std::size_t>(i)])
-             << (8 * i);
-    if (len > kMaxFrame) {
-      result.dropped_frames = 1;
-      result.damage = "implausible frame length (corrupt journal)";
-      break;
-    }
-    if (size - off < 8 + static_cast<std::size_t>(len)) {
-      result.dropped_frames = 1;
-      result.damage = "torn frame payload at tail";
-      break;
-    }
-    const unsigned char* payload = data + off + 4;
-    std::uint32_t stored_crc = 0;
-    for (int i = 0; i < 4; ++i)
-      stored_crc |= static_cast<std::uint32_t>(
-                        payload[len + static_cast<std::size_t>(i)])
-                    << (8 * i);
-    if (crc32(payload, len) != stored_crc) {
-      result.dropped_frames = 1;
-      result.damage = "frame CRC mismatch";
-      break;
-    }
+  while (off < bytes.size()) {
+    const unsigned char* frame = data + off;
+    const char* damage = frame_damage(frame, bytes.size() - off, kMaxFrame);
+    const std::uint32_t len = damage == nullptr ? get_u32(frame) : 0;
     JournalRecord record;
-    if (!decode_record(payload, len, record)) {
+    if (damage == nullptr && !decode_record(frame + 4, len, record))
+      damage = "undecodable frame payload";
+    if (damage != nullptr) {
       result.dropped_frames = 1;
-      result.damage = "undecodable frame payload";
+      result.damage = damage;
       break;
     }
     result.records.push_back(std::move(record));
-    off += 8 + static_cast<std::size_t>(len);
+    off += len + kFrameOverhead;
   }
   return result;
 }

@@ -16,11 +16,14 @@
 // Append + fsync per record means a SIGKILL can tear at most the last
 // frame; read_journal() returns the valid prefix and reports the torn
 // tail instead of throwing, because a damaged tail is the *expected*
-// post-crash state, not an error. Resume rewrites the journal with the
-// validated prefix, so the file is self-healing.
+// post-crash state, not an error. Resume replaces the journal with the
+// records it keeps through rewrite_journal() -- a whole new file renamed
+// over the old one -- so the file is self-healing, and a crash mid-rewrite
+// leaves the old journal or the new one, never an empty one.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,7 +77,7 @@ class JournalWriter {
   /// Opens `path`, truncating and writing a fresh header when `truncate`
   /// is true (or when the file does not exist); otherwise appends after
   /// the existing content. Throws SystemError when the file cannot be
-  /// opened or the header cannot be written.
+  /// opened or the header cannot be written and fsync'd.
   JournalWriter(const std::string& path, bool truncate);
   ~JournalWriter();
 
@@ -89,6 +92,14 @@ class JournalWriter {
   int fd_ = -1;
   std::string path_;
 };
+
+/// Replaces the journal at `path` with a header and `records`, in that
+/// order: the whole file is encoded into one buffer, published with
+/// faultline::write_file_atomic in the journal domain (tmp, fsync,
+/// rename, directory fsync), and reopened for appending. Every resume
+/// path calls this instead of truncating in place.
+std::unique_ptr<JournalWriter> rewrite_journal(
+    const std::string& path, const std::vector<JournalRecord>& records);
 
 struct JournalReadResult {
   std::vector<JournalRecord> records;  ///< the valid prefix, oldest first

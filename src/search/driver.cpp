@@ -73,29 +73,30 @@ class Evaluator {
       : objective_(objective), pool_(pool) {}
 
   /// Opens the journal; with `resume` the validated prefix seeds the cache
-  /// and is rewritten in place (self-healing after a torn tail).
+  /// and the journal is replaced by exactly the kept records
+  /// (runner::rewrite_journal: a new file renamed over the old one), which
+  /// self-heals a torn tail.
   void open_journal(const std::string& path, bool resume) {
     if (path.empty()) return;
-    if (!resume) {
-      journal_ = std::make_unique<runner::JournalWriter>(path, true);
-      return;
+    std::vector<runner::JournalRecord> keep;
+    if (resume) {
+      runner::JournalReadResult prior = runner::read_journal(path);
+      for (runner::JournalRecord& rec : prior.records) {
+        // Only search records (trailing objective) are reusable; anything
+        // else in the file is not ours and is dropped by the rewrite.
+        if (!rec.has_objective) continue;
+        Outcome o;
+        o.objective = rec.objective;
+        o.app_elapsed_s = rec.app_elapsed_s;
+        o.app_iterations = rec.app_iterations;
+        o.failed = rec.status != runner::JournalStatus::kDone;
+        o.error = rec.error;
+        if (!cache_.emplace(rec.key_hash, std::move(o)).second) continue;
+        journaled_.insert(rec.key_hash);
+        keep.push_back(std::move(rec));
+      }
     }
-    const runner::JournalReadResult prior = runner::read_journal(path);
-    journal_ = std::make_unique<runner::JournalWriter>(path, true);
-    for (const runner::JournalRecord& rec : prior.records) {
-      // Only search records (trailing objective) are reusable; anything
-      // else in the file is not ours and is dropped by the rewrite.
-      if (!rec.has_objective) continue;
-      Outcome o;
-      o.objective = rec.objective;
-      o.app_elapsed_s = rec.app_elapsed_s;
-      o.app_iterations = rec.app_iterations;
-      o.failed = rec.status != runner::JournalStatus::kDone;
-      o.error = rec.error;
-      if (!cache_.emplace(rec.key_hash, std::move(o)).second) continue;
-      journal_->append(rec);
-      journaled_.insert(rec.key_hash);
-    }
+    journal_ = runner::rewrite_journal(path, keep);
   }
 
   bool contains(std::uint64_t key) const { return cache_.count(key) != 0; }

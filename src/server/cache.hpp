@@ -9,7 +9,8 @@
 //   <data_dir>/server.journal    CRC-framed fsync'd record per finished
 //                                scenario (the authoritative index)
 //   <data_dir>/spool/e<16hex>.csv   the scenario's metrics CSV, written
-//                                atomically (tmp + fsync + rename)
+//                                atomically (tmp + fsync + rename +
+//                                directory fsync)
 //                                *before* its journal record
 //   <data_dir>/quarantine/       spool files whose bytes stopped
 //                                matching their journaled CRC, moved
@@ -93,7 +94,8 @@ class ResultCache {
   /// scrub(), or eviction. A hit refreshes the entry's LRU position.
   const CachedResult* find(std::uint64_t key);
 
-  /// Stores a terminal result: spool CSV first (atomic tmp+fsync+rename),
+  /// Stores a terminal result: spool CSV first (faultline's
+  /// write_file_atomic: tmp, fsync, rename, directory fsync),
   /// then the fsync'd journal record, then the in-memory entry -- the
   /// ordering that makes "journaled" imply "servable after SIGKILL".
   /// Only kDone / kFailed scenario statuses are accepted (require()d).
@@ -126,9 +128,10 @@ class ResultCache {
  private:
   std::string spool_file(std::uint64_t key) const;
   runner::JournalRecord record_for(const CachedResult& entry) const;
-  /// Truncate-rewrites the journal with exactly the live entries, in
-  /// their original insertion order -- the self-healing step shared by
-  /// open(), eviction, and quarantine.
+  /// Rewrites the journal (runner::rewrite_journal: new file renamed over
+  /// the old) with exactly the live entries, in their original insertion
+  /// order -- the self-healing step shared by open(), eviction, and
+  /// quarantine.
   void rewrite_journal();
   void lru_touch(std::uint64_t key);
   void drop_entry(std::uint64_t key);  ///< in-memory + LRU bookkeeping

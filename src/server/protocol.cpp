@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 
 namespace hpas::server {
@@ -100,13 +101,11 @@ void write_frame(int fd, std::string_view payload,
   if (payload.size() > kMaxFramePayload)
     throw SystemError("protocol: frame payload exceeds " +
                       std::to_string(kMaxFramePayload) + " bytes");
-  char prefix[4];
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i)
-    prefix[i] = static_cast<char>((len >> (8 * i)) & 0xffu);
+  std::string prefix;
+  put_u32(prefix, static_cast<std::uint32_t>(payload.size()));
   // Two writes, not one coalesced buffer: the peer reads the length
   // first anyway and both land in the socket buffer back to back.
-  write_fully(fd, prefix, sizeof prefix, domain);
+  write_fully(fd, prefix.data(), prefix.size(), domain);
   write_fully(fd, payload.data(), payload.size(), domain);
 }
 
@@ -121,10 +120,8 @@ bool read_frame(int fd, std::string& payload, faultline::Domain domain) {
   if (!read_fully(fd, prefix, sizeof prefix, /*eof_ok=*/true,
                   /*idle_ok=*/true, domain))
     return false;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i)
-    len |= static_cast<std::uint32_t>(static_cast<unsigned char>(prefix[i]))
-           << (8 * i);
+  const std::uint32_t len =
+      get_u32(reinterpret_cast<const unsigned char*>(prefix));
   if (len > kMaxFramePayload)
     throw SystemError("protocol: frame length " + std::to_string(len) +
                       " exceeds the " + std::to_string(kMaxFramePayload) +

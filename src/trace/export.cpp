@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 
 namespace hpas::trace {
@@ -12,27 +13,6 @@ namespace {
 
 constexpr char kMagic[8] = {'H', 'P', 'T', 'R', 'A', 'C', 'E', '1'};
 constexpr std::uint32_t kVersion = 1;
-
-// Explicit little-endian field writers: the format must not depend on the
-// host's struct layout or byte order.
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
 
 class Reader {
  public:
@@ -55,9 +35,7 @@ class Reader {
     unsigned char raw[8] = {};
     in_.read(reinterpret_cast<char*>(raw), n);
     check();
-    std::uint64_t v = 0;
-    for (int i = 0; i < n; ++i) v |= std::uint64_t{raw[i]} << (8 * i);
-    return v;
+    return get_le(raw, n);
   }
 
   void check() {
@@ -80,8 +58,7 @@ void write_binary(std::ostream& out, const TraceFile& file) {
   put_u64(bytes, file.records.size());
   for (const auto& [id, name] : file.labels) {
     put_u32(bytes, id);
-    put_u32(bytes, static_cast<std::uint32_t>(name.size()));
-    bytes.append(name);
+    put_string(bytes, name);
   }
   for (const TraceRecord& r : file.records) {
     put_u64(bytes, r.seq);

@@ -190,6 +190,18 @@ TEST_F(FaultlineTest, InjectedFsyncFailureSurfaces) {
   EXPECT_THROW(writer.append(record(1, "doomed")), hpas::SystemError);
 }
 
+TEST_F(FaultlineTest, HeaderFsyncFailureFailsTheConstructor) {
+  fl::FaultSchedule schedule;
+  schedule.rules.push_back({.domain = fl::Domain::kJournal,
+                            .op = fl::Op::kFsync,
+                            .kind = fl::FaultKind::kErrno,
+                            .err = EIO,
+                            .at = 0});  // the header fsync
+  fl::arm(schedule);
+  EXPECT_THROW(JournalWriter(path("header-eio.journal"), true),
+               hpas::SystemError);
+}
+
 TEST_F(FaultlineTest, EintrStormIsBoundedByCountAndTheWriteSucceeds) {
   fl::FaultSchedule schedule;
   schedule.rules.push_back({.domain = fl::Domain::kJournal,

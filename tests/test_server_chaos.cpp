@@ -155,9 +155,10 @@ TEST_F(ChaosTest, ExhaustiveCrashPointBatteryRestartsByteIdentically) {
   (void)run_campaign((base_ / "probe").string(), specs);
   const std::uint64_t points = fl::crash_points_passed();
   fl::disarm();
-  // Journal header (write + fsync = 3) plus, per scenario, the spool
-  // write/fsync/rename and the journal record write/fsync (7 each).
-  ASSERT_EQ(points, 17u);
+  // The restore's journal rewrite (tmp write + fsync + rename + directory
+  // fsync = 5) plus, per scenario, the spool write/fsync/rename/directory
+  // fsync and the journal record write/fsync (8 each).
+  ASSERT_EQ(points, 21u);
 
   for (std::uint64_t k = 0; k < points; ++k) {
     const std::string dir = (base_ / ("crash" + std::to_string(k))).string();
@@ -387,6 +388,11 @@ TEST_F(ChaosTest, CacheInsertFailureStillServesTheResult) {
   EXPECT_EQ(stats.cache_size, 0u);  // nothing durable, nothing cached
   server.stop();
   fl::disarm();
+  // The failed spool write unlinks its temporary: no e<key>.csv.tmp is
+  // left in the spool to accumulate across failed inserts.
+  for (const auto& entry :
+       std::filesystem::directory_iterator(opts.data_dir + "/spool"))
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
 
   // Same discipline when the journal append is what fails.
   fl::FaultSchedule journal_fault;
