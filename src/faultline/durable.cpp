@@ -87,4 +87,16 @@ void write_file_atomic(Domain d, const std::string& path,
   file.commit();
 }
 
+std::size_t remove_orphaned_tmp_files(const std::string& dir) {
+  std::size_t removed = 0;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (!entry.is_regular_file()) continue;
+    if (entry.path().extension() != ".tmp") continue;
+    std::error_code ignored;
+    if (std::filesystem::remove(entry.path(), ignored)) ++removed;
+  }
+  return removed;
+}
+
 }  // namespace hpas::faultline

@@ -59,4 +59,10 @@ class AtomicFile {
 void write_file_atomic(Domain d, const std::string& path,
                        std::string_view bytes);
 
+/// Removes the `*.tmp` siblings that a crash in the middle of an atomic
+/// write leaves in `dir` (never valid outputs) and returns how many it
+/// removed. Only safe while nothing is writing into `dir`, so callers
+/// sweep once before their first write: sweep --resume and cache open.
+std::size_t remove_orphaned_tmp_files(const std::string& dir);
+
 }  // namespace hpas::faultline

@@ -1,10 +1,10 @@
 #include "metrics/csv.hpp"
 
-#include <fstream>
 #include <map>
 #include <ostream>
+#include <sstream>
 
-#include "common/error.hpp"
+#include "faultline/durable.hpp"
 
 namespace hpas::metrics {
 
@@ -36,10 +36,9 @@ void write_csv(std::ostream& os, const MetricStore& store) {
 }
 
 void write_csv_file(const std::string& path, const MetricStore& store) {
-  std::ofstream out(path);
-  if (!out) throw SystemError("cannot open for writing: " + path);
+  std::ostringstream out;
   write_csv(out, store);
-  if (!out) throw SystemError("write failed: " + path);
+  faultline::write_file_atomic(faultline::Domain::kOutput, path, out.str());
 }
 
 }  // namespace hpas::metrics

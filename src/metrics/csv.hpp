@@ -14,7 +14,9 @@ namespace hpas::metrics {
 /// missing values are left empty.
 void write_csv(std::ostream& os, const MetricStore& store);
 
-/// Convenience wrapper writing to a file; throws SystemError on failure.
+/// Convenience wrapper publishing the CSV at `path` through
+/// faultline::write_file_atomic (output domain): a failure throws
+/// SystemError and leaves any old file unchanged, with no `.tmp` behind.
 void write_csv_file(const std::string& path, const MetricStore& store);
 
 }  // namespace hpas::metrics

@@ -95,20 +95,6 @@ void append_stats_members(Json& obj, const std::vector<double>& xs) {
 /// behind.
 constexpr faultline::Domain kOutput = faultline::Domain::kOutput;
 
-/// A crashed sweep can leave `*.tmp` siblings from interrupted atomic
-/// writes; they are never valid outputs, so --resume sweeps them first.
-std::size_t remove_orphaned_tmp_files(const std::string& dir) {
-  std::size_t removed = 0;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    if (entry.path().extension() != ".tmp") continue;
-    std::error_code ignored;
-    if (std::filesystem::remove(entry.path(), ignored)) ++removed;
-  }
-  return removed;
-}
-
 JournalStatus to_journal_status(ScenarioStatus status) {
   switch (status) {
     case ScenarioStatus::kDone: return JournalStatus::kDone;
@@ -263,7 +249,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
                         out_dir);
     std::vector<JournalRecord> keep;
     if (options.resume) {
-      result.tmp_removed = remove_orphaned_tmp_files(out_dir);
+      result.tmp_removed = faultline::remove_orphaned_tmp_files(out_dir);
       JournalReadResult read = read_journal(options.journal_path);
       result.journal_dropped = read.dropped_frames;
       // Last record per key wins: a re-run after a timeout supersedes the
@@ -419,17 +405,25 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
         // Checkpoint order: outputs first, then the journal record, so a
         // "done" record always refers to files that already exist. A
         // crash between the two re-runs the scenario -- safe, just not
-        // free.
-        if (slot.status == ScenarioStatus::kDone)
-          faultline::write_file_atomic(
-              kOutput, out_dir + "/" + slot.spec.name + ".csv",
-              slot.metrics_csv);
-        if (!slot.trace_bin.empty())
-          faultline::write_file_atomic(
-              kOutput, out_dir + "/" + slot.spec.name + ".trace.bin",
-              slot.trace_bin);
-        std::lock_guard<std::mutex> lock(journal_mu);
-        journal->append(make_journal_record(slot));
+        // free. A failed write (full disk) fails this scenario and the
+        // sweep like a failed run does; without a "done" record, --resume
+        // re-runs it.
+        try {
+          if (slot.status == ScenarioStatus::kDone)
+            faultline::write_file_atomic(
+                kOutput, out_dir + "/" + slot.spec.name + ".csv",
+                slot.metrics_csv);
+          if (!slot.trace_bin.empty())
+            faultline::write_file_atomic(
+                kOutput, out_dir + "/" + slot.spec.name + ".trace.bin",
+                slot.trace_bin);
+          std::lock_guard<std::mutex> lock(journal_mu);
+          journal->append(make_journal_record(slot));
+        } catch (const std::exception& e) {
+          slot.status = ScenarioStatus::kFailed;
+          slot.error = e.what();
+          pool.request_cancel();
+        }
       }
     });
     if (pool.cancelled()) break;
@@ -463,11 +457,13 @@ std::size_t SweepResult::count(ScenarioStatus status) const {
 }
 
 std::string SweepResult::first_error() const {
-  for (const ScenarioResult& s : scenarios) {
+  // A failure's message beats the scenarios it cancelled, even when they
+  // come first in grid order.
+  for (const ScenarioResult& s : scenarios)
     if (!s.error.empty()) return s.spec.name + ": " + s.error;
+  for (const ScenarioResult& s : scenarios)
     if (s.status != ScenarioStatus::kDone)
       return s.spec.name + ": " + scenario_status_name(s.status);
-  }
   return {};
 }
 

@@ -102,7 +102,8 @@ struct SweepResult {
   bool ok() const;  ///< every scenario completed (status kDone)
   /// Scenarios with the given terminal status.
   std::size_t count(ScenarioStatus status) const;
-  /// First error in grid order, or empty.
+  /// The first error message in grid order; failing that, the first
+  /// scenario that did not finish, with its status; empty when all did.
   std::string first_error() const;
 
   /// Deterministic summary: per-scenario rows plus per-anomaly and overall

@@ -50,6 +50,9 @@ runner::JournalRecord ResultCache::record_for(
 
 void ResultCache::open() {
   std::filesystem::create_directories(spool_dir_);
+  // A crash mid-insert leaves `spool/e<key>.csv.tmp`; nothing journaled
+  // refers to it, so it goes before the restore.
+  (void)faultline::remove_orphaned_tmp_files(spool_dir_);
 
   // Replay the valid journal prefix. Every surviving record is
   // re-validated against its on-disk spool bytes; the journal is then

@@ -90,6 +90,8 @@ Network::Network(Topology topology) : topo_(std::move(topology)) {
         {trunk.a, static_cast<int>(t)});
   }
   for (auto& neighbors : adj_) std::sort(neighbors.begin(), neighbors.end());
+  residual_.resize(topo_.trunks.size() * 2);
+  active_on_link_.assign(topo_.trunks.size() * 2, 0);
   // Trunks are undirected, so one BFS decides connectivity for every pair.
   via_.resize(static_cast<std::size_t>(topo_.num_nodes));
   via_[0] = bfs(0);
@@ -142,17 +144,11 @@ std::vector<int> Network::path(int src_node, int dst_node) {
 
 void Network::compute_rates(std::vector<Flow>& flows) {
   constexpr double kLoopbackRate = 1.0e12;  // intra-node copies: ~free
-  // Directed link resources: trunk t, direction a->b is 2t, b->a is 2t+1.
-  const std::size_t num_links = topo_.trunks.size() * 2;
-  residual_.resize(num_links);
-  for (std::size_t t = 0; t < topo_.trunks.size(); ++t) {
-    residual_[2 * t] = topo_.trunks[t].capacity;
-    residual_[2 * t + 1] = topo_.trunks[t].capacity;
-  }
 
-  // Expand each flow's path into directed link ids. The outer scratch
-  // vector only grows; the inner vectors keep their capacity across
-  // calls, so steady-state recomputes allocate nothing.
+  // Expand each flow's path into directed link ids (trunk t, direction
+  // a->b is 2t, b->a is 2t+1). The outer scratch vector only grows; the
+  // inner vectors keep their capacity across calls, so steady-state
+  // recomputes allocate nothing.
   if (flow_links_.size() < flows.size()) flow_links_.resize(flows.size());
   frozen_.assign(flows.size(), 0);
   for (std::size_t f = 0; f < flows.size(); ++f) {
@@ -166,17 +162,28 @@ void Network::compute_rates(std::vector<Flow>& flows) {
     route(flow.src, flow.dst, flow_links_[f]);
   }
 
+  // Only the links some flow crosses take part in the solve: count their
+  // flows, reset their residual, and keep them sorted by id so every scan
+  // below visits them in the same order a scan of all links would.
+  touched_.clear();
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    for (const std::size_t l : flow_links_[f]) {
+      if (active_on_link_[l]++ != 0) continue;
+      touched_.push_back(l);
+      residual_[l] = topo_.trunks[l / 2].capacity;
+    }
+  }
+  std::sort(touched_.begin(), touched_.end());
+
   // Progressive filling: repeatedly find the bottleneck link (smallest
-  // per-flow share), fix its flows at that share, remove them, repeat.
+  // per-flow share, lowest id on ties), fix its flows at that share,
+  // remove them, repeat. Freezing a flow decrements its links' counts, so
+  // each round sees the counts a full recount would give.
   while (true) {
     double bottleneck_share = std::numeric_limits<double>::infinity();
-    std::size_t bottleneck_link = num_links;
-    active_on_link_.assign(num_links, 0);
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      if (frozen_[f]) continue;
-      for (const std::size_t l : flow_links_[f]) ++active_on_link_[l];
-    }
-    for (std::size_t l = 0; l < num_links; ++l) {
+    const std::size_t none = residual_.size();
+    std::size_t bottleneck_link = none;
+    for (const std::size_t l : touched_) {
       if (active_on_link_[l] == 0) continue;
       const double share = residual_[l] / active_on_link_[l];
       if (share < bottleneck_share) {
@@ -184,7 +191,7 @@ void Network::compute_rates(std::vector<Flow>& flows) {
         bottleneck_link = l;
       }
     }
-    if (bottleneck_link == num_links) break;  // no active flows left
+    if (bottleneck_link == none) break;  // no active flows left
 
     for (std::size_t f = 0; f < flows.size(); ++f) {
       if (frozen_[f]) continue;
@@ -193,10 +200,15 @@ void Network::compute_rates(std::vector<Flow>& flows) {
         continue;
       flows[f].rate = bottleneck_share;
       frozen_[f] = 1;
-      for (const std::size_t l : flow_links_[f])
+      for (const std::size_t l : flow_links_[f]) {
         residual_[l] = std::max(0.0, residual_[l] - bottleneck_share);
+        --active_on_link_[l];
+      }
     }
   }
+  // Shares that never drop below infinity leave flows unfrozen and their
+  // counts standing; clear them so the next solve starts from zero.
+  for (const std::size_t l : touched_) active_on_link_[l] = 0;
 
   for (Flow& flow : flows) {
     if (flow.task != nullptr) {

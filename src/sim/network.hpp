@@ -100,10 +100,14 @@ class Network {
   std::vector<std::vector<int>> via_;
 
   // Progressive-filling scratch, reused across compute_rates calls.
+  // residual_ and active_on_link_ are indexed by directed link id; a solve
+  // reads and writes only the entries of its touched_ links, and leaves
+  // every active_on_link_ entry zero.
   std::vector<double> residual_;
   std::vector<std::vector<std::size_t>> flow_links_;
   std::vector<char> frozen_;
   std::vector<int> active_on_link_;
+  std::vector<std::size_t> touched_;  ///< links the solve's flows cross
 };
 
 }  // namespace hpas::sim

@@ -7,6 +7,7 @@
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "faultline/durable.hpp"
 
 namespace hpas::trace {
 namespace {
@@ -114,9 +115,9 @@ TraceFile read_binary(std::istream& in) {
 }
 
 void write_binary_file(const std::string& path, const TraceFile& file) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw SystemError("trace: cannot open for writing: " + path);
+  std::ostringstream out(std::ios::binary);
   write_binary(out, file);
+  faultline::write_file_atomic(faultline::Domain::kOutput, path, out.str());
 }
 
 TraceFile read_binary_file(const std::string& path) {

@@ -29,7 +29,10 @@ void write_binary(std::ostream& out, const TraceFile& file);
 TraceFile read_binary(std::istream& in);
 
 /// Convenience wrappers; throw SystemError when the file cannot be
-/// opened (read_binary_file additionally throws ConfigError as above).
+/// written or opened (read_binary_file additionally throws ConfigError as
+/// above). write_binary_file publishes through
+/// faultline::write_file_atomic (output domain), so a failed write leaves
+/// any old file unchanged and no `.tmp` behind.
 void write_binary_file(const std::string& path, const TraceFile& file);
 TraceFile read_binary_file(const std::string& path);
 

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -29,10 +30,14 @@
 #include "common/json.hpp"
 #include "faultline/durable.hpp"
 #include "faultline/faultline.hpp"
+#include "metrics/csv.hpp"
+#include "metrics/store.hpp"
+#include "runner/grid.hpp"
 #include "runner/journal.hpp"
 #include "runner/runner.hpp"
 #include "search/driver.hpp"
 #include "search/space.hpp"
+#include "trace/export.hpp"
 
 namespace {
 
@@ -93,6 +98,16 @@ int run_armed_child(const fl::FaultSchedule& schedule,
   int status = 0;
   if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) return -1;
   return WEXITSTATUS(status);
+}
+
+std::map<std::string, std::string> outputs_of(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name == "sweep.journal") continue;  // wall times: not comparable
+    files[name] = slurp(entry.path().string());
+  }
+  return files;
 }
 
 std::uint32_t domain_bit(fl::Domain d) {
@@ -226,6 +241,84 @@ TEST_F(DurableIoTest, ACrashAtAnyPointLeavesTheOldOrTheNewFile) {
   }
 }
 
+/// One ENOSPC on the `at`-th output-domain write (counted from 0).
+fl::FaultSchedule enospc_on_output_write(std::int64_t at) {
+  fl::FaultSchedule schedule;
+  schedule.rules.push_back({.domain = fl::Domain::kOutput,
+                            .op = fl::Op::kWrite,
+                            .kind = fl::FaultKind::kErrno,
+                            .err = ENOSPC,
+                            .at = at});
+  return schedule;
+}
+
+TEST_F(DurableIoTest, CliOutputFilesKeepTheOldFileOnAFailedWrite) {
+  // hpas-sim's -o CSVs and --trace file take the same atomic path.
+  hpas::metrics::MetricStore store;
+  store.record({"user", "procstat"}, 0.0, 1.5);
+  hpas::trace::TraceFile trace;
+  trace.labels.emplace_back(1, "node0");
+  const std::string csv = path("run.node0.csv");
+  const std::string bin = path("run.trace.bin");
+  fl::write_file_atomic(fl::Domain::kOutput, csv, "old csv");
+  fl::write_file_atomic(fl::Domain::kOutput, bin, "old trace");
+
+  fl::arm(enospc_on_output_write(0));
+  EXPECT_THROW(hpas::metrics::write_csv_file(csv, store), hpas::SystemError);
+  fl::arm(enospc_on_output_write(0));
+  EXPECT_THROW(hpas::trace::write_binary_file(bin, trace),
+               hpas::SystemError);
+  fl::disarm();
+  EXPECT_EQ(slurp(csv), "old csv");
+  EXPECT_EQ(slurp(bin), "old trace");
+  EXPECT_FALSE(has_tmp_file(base_));
+
+  // Unarmed, both publish the bytes their stream writers produce.
+  hpas::metrics::write_csv_file(csv, store);
+  EXPECT_EQ(slurp(csv), "timestamp,user::procstat\n0,1.5\n");
+  hpas::trace::write_binary_file(bin, trace);
+  EXPECT_EQ(hpas::trace::read_binary_file(bin).labels, trace.labels);
+  EXPECT_FALSE(has_tmp_file(base_));
+}
+
+TEST_F(DurableIoTest, SweepOutputWriteFailureFailsTheScenarioNotTheProcess) {
+  const hpas::runner::SweepGrid grid = hpas::runner::load_grid_file(
+      std::string(HPAS_EXAMPLES_DIR) + "/grids/small_sweep.json");
+  const auto sweep = [&](const fs::path& dir, bool resume) {
+    hpas::runner::SweepOptions options;
+    options.threads = 1;
+    options.journal_path = (dir / "sweep.journal").string();
+    options.resume = resume;
+    return hpas::runner::run_sweep(grid, options);
+  };
+  const fs::path ref = base_ / "ref";
+  ASSERT_TRUE(sweep(ref, /*resume=*/false).ok());
+
+  // A full disk at the fourth scenario's CSV: that scenario fails, the
+  // sweep stops, and the exception never escapes the worker.
+  const fs::path dir = base_ / "enospc";
+  fl::arm(enospc_on_output_write(3));
+  const auto result = sweep(dir, /*resume=*/false);
+  fl::disarm();
+  EXPECT_FALSE(result.ok());
+  ASSERT_EQ(result.count(hpas::runner::ScenarioStatus::kFailed), 1u);
+  EXPECT_EQ(result.count(hpas::runner::ScenarioStatus::kDone), 3u);
+  const auto failed = std::find_if(
+      result.scenarios.begin(), result.scenarios.end(), [](const auto& s) {
+        return s.status == hpas::runner::ScenarioStatus::kFailed;
+      });
+  EXPECT_NE(failed->error.find(std::strerror(ENOSPC)), std::string::npos)
+      << failed->error;
+  EXPECT_EQ(result.first_error(), failed->spec.name + ": " + failed->error);
+  EXPECT_FALSE(fs::exists(dir / (failed->spec.name + ".csv")));
+  EXPECT_FALSE(has_tmp_file(dir));
+
+  // No "done" record names the failed scenario, so --resume re-runs it and
+  // finishes with the uninterrupted sweep's bytes.
+  ASSERT_TRUE(sweep(dir, /*resume=*/true).ok());
+  EXPECT_EQ(outputs_of(dir), outputs_of(ref));
+}
+
 // --- the journal rewrite crash battery -----------------------------------
 
 class JournalRewriteCrashTest : public DurableIoTest {};
@@ -254,16 +347,6 @@ fl::FaultSchedule journal_crash_at(std::int64_t k) {
   schedule.crash_domains = domain_bit(fl::Domain::kJournal);
   schedule.crash_at = k;
   return schedule;
-}
-
-std::map<std::string, std::string> outputs_of(const fs::path& dir) {
-  std::map<std::string, std::string> files;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name == "sweep.journal") continue;  // wall times: not comparable
-    files[name] = slurp(entry.path().string());
-  }
-  return files;
 }
 
 hpas::runner::SweepGrid three_scenarios() {

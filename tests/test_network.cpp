@@ -5,9 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <queue>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -22,6 +27,13 @@ std::unique_ptr<Task> message_task(int src, int dst) {
                                      [](Task&) { return Phase::done(); });
   task->set_phase(Phase::message(dst, 1e9));
   return task;
+}
+
+Topology dragonfly1k() {
+  const DragonflyPreset p;
+  return Topology::dragonfly(p.groups, p.routers_per_group,
+                             p.nodes_per_router, p.nic_bw, p.local_bw,
+                             p.global_bw);
 }
 
 TEST(Topology, TwoTierShape) {
@@ -189,10 +201,7 @@ TEST(RoutingEquivalence, LazyPathsMatchEagerBfsOnEveryPair) {
 }
 
 TEST(RoutingEquivalence, LazyPathsMatchEagerBfsOnDragonflyPresetSample) {
-  const DragonflyPreset p;
-  const Topology topo =
-      Topology::dragonfly(p.groups, p.routers_per_group, p.nodes_per_router,
-                          p.nic_bw, p.local_bw, p.global_bw);
+  const Topology topo = dragonfly1k();
   ASSERT_EQ(topo.num_nodes, 1024);
   Network net(topo);
   EagerRoutes eager(topo);
@@ -216,6 +225,210 @@ TEST(RoutingEquivalence, DisconnectedTopologyThrowsFromConstructor) {
   Topology stray = Topology::star(3, 1e9);
   stray.trunks.erase(stray.trunks.begin() + 1);  // node 1 loses its NIC
   EXPECT_THROW({ Network net(stray); }, InvariantError);
+}
+
+/// The progressive filling compute_rates ran before it solved only the
+/// links its flows cross: every round recounts the flows on all directed
+/// links and scans them all. Kept here only as the reference for the
+/// touched-link solve.
+std::vector<double> full_scan_rates(const Topology& topo, EagerRoutes& routes,
+                                    const std::vector<Flow>& flows) {
+  constexpr double kLoopbackRate = 1.0e12;
+  const std::size_t num_links = topo.trunks.size() * 2;
+  std::vector<double> residual(num_links);
+  for (std::size_t t = 0; t < topo.trunks.size(); ++t) {
+    residual[2 * t] = topo.trunks[t].capacity;
+    residual[2 * t + 1] = topo.trunks[t].capacity;
+  }
+  std::vector<double> rates;  // a flow that never freezes keeps its rate
+  for (const Flow& flow : flows) rates.push_back(flow.rate);
+  std::vector<std::vector<std::size_t>> links(flows.size());
+  std::vector<char> frozen(flows.size(), 0);
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    if (flows[f].src == flows[f].dst) {
+      rates[f] = kLoopbackRate;
+      frozen[f] = 1;
+      continue;
+    }
+    // Trunk t carries a->b as link 2t and b->a as link 2t+1.
+    int at = flows[f].src;
+    for (const int t : routes.path(flows[f].src, flows[f].dst)) {
+      const Trunk& trunk = topo.trunks[static_cast<std::size_t>(t)];
+      const bool forward = trunk.a == at;
+      links[f].push_back(2 * static_cast<std::size_t>(t) + (forward ? 0 : 1));
+      at = forward ? trunk.b : trunk.a;
+    }
+  }
+  while (true) {
+    double bottleneck_share = std::numeric_limits<double>::infinity();
+    std::size_t bottleneck_link = num_links;
+    std::vector<int> active(num_links, 0);
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+      if (frozen[f]) continue;
+      for (const std::size_t l : links[f]) ++active[l];
+    }
+    for (std::size_t l = 0; l < num_links; ++l) {
+      if (active[l] == 0) continue;
+      const double share = residual[l] / active[l];
+      if (share < bottleneck_share) {
+        bottleneck_share = share;
+        bottleneck_link = l;
+      }
+    }
+    if (bottleneck_link == num_links) break;
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+      if (frozen[f]) continue;
+      if (std::find(links[f].begin(), links[f].end(), bottleneck_link) ==
+          links[f].end())
+        continue;
+      rates[f] = bottleneck_share;
+      frozen[f] = 1;
+      for (const std::size_t l : links[f])
+        residual[l] = std::max(0.0, residual[l] - bottleneck_share);
+    }
+  }
+  return rates;
+}
+
+/// Solves `flows` on `net` and on the full-scan reference, and requires
+/// every rate to match bit for bit.
+void expect_same_rates_as_full_scan(Network& net, EagerRoutes& routes,
+                                    std::vector<Flow> flows,
+                                    const std::string& what) {
+  const std::vector<double> expected =
+      full_scan_rates(net.topology(), routes, flows);
+  net.compute_rates(flows);
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(flows[f].rate),
+              std::bit_cast<std::uint64_t>(expected[f]))
+        << what << ": flow " << f << " (" << flows[f].src << " -> "
+        << flows[f].dst << ") got " << flows[f].rate << ", full scan "
+        << expected[f];
+  }
+}
+
+/// `count` flows between nodes drawn from [lo, hi); about one in eight is
+/// a loopback flow.
+std::vector<Flow> random_flows(Rng& rng, int count, int lo, int hi) {
+  std::vector<Flow> flows;
+  const auto span = static_cast<std::uint64_t>(hi - lo);
+  for (int i = 0; i < count; ++i) {
+    const int src = lo + static_cast<int>(rng.next_below(span));
+    const int dst = rng.next_below(8) == 0
+                        ? src
+                        : lo + static_cast<int>(rng.next_below(span));
+    flows.push_back({nullptr, src, dst, 0.0});
+  }
+  return flows;
+}
+
+TEST(SolverEquivalence, TouchedLinkSolveMatchesFullScanBitwise) {
+  for (const Topology& topo :
+       {Topology::star(6, 1e9), Topology::two_tier(4, 8, 10e9, 18e9),
+        dragonfly1k()}) {
+    Network net(topo);
+    EagerRoutes routes(topo);
+    Rng rng(static_cast<std::uint64_t>(topo.num_nodes));
+    for (int round = 0; round < 60; ++round) {
+      const int count = 1 + static_cast<int>(rng.next_below(40));
+      expect_same_rates_as_full_scan(
+          net, routes, random_flows(rng, count, 0, topo.num_nodes),
+          std::to_string(topo.num_nodes) + " nodes, round " +
+              std::to_string(round));
+    }
+  }
+}
+
+TEST(SolverEquivalence, RepeatedCallsGrowShrinkAndMoveToDisjointLinks) {
+  // One Network solves a sequence of flow sets; any scratch a solve left
+  // behind (a count not back at zero, a residual from an earlier solve)
+  // shows up as a rate that differs from the fresh full scan. Unbounded
+  // NICs never bottleneck, so intra-switch flows there stay unfrozen and
+  // keep their input rate in both solvers.
+  const double unbounded = std::numeric_limits<double>::infinity();
+  for (const Topology& topo :
+       {Topology::two_tier(4, 8, 10e9, 18e9),
+        Topology::two_tier(2, 8, unbounded, 18e9), dragonfly1k()}) {
+    Network net(topo);
+    EagerRoutes routes(topo);
+    Rng rng(7);
+    const int half = topo.num_nodes / 2;
+    const std::string name = std::to_string(topo.num_nodes) + " nodes, ";
+    // Grow, then shrink, on the same links.
+    for (int count = 1; count <= 48; count += 3)
+      expect_same_rates_as_full_scan(net, routes,
+                                     random_flows(rng, count, 0, half),
+                                     name + "grow " + std::to_string(count));
+    for (int count = 48; count >= 0; count -= 5)
+      expect_same_rates_as_full_scan(
+          net, routes, random_flows(rng, count, 0, half),
+          name + "shrink " + std::to_string(count));
+    // Alternate between the two halves of the machine, whose flows share
+    // no link, then span both.
+    for (int round = 0; round < 10; ++round) {
+      const int lo = round % 2 == 0 ? half : 0;
+      expect_same_rates_as_full_scan(
+          net, routes, random_flows(rng, 12, lo, lo + half),
+          name + "disjoint round " + std::to_string(round));
+    }
+    expect_same_rates_as_full_scan(
+        net, routes, random_flows(rng, 30, 0, topo.num_nodes), name + "all");
+    // Loopback only, then empty, then traffic again.
+    expect_same_rates_as_full_scan(net, routes, {{nullptr, 3, 3, 0.0}},
+                                   name + "loopback only");
+    expect_same_rates_as_full_scan(net, routes, {}, name + "empty");
+    expect_same_rates_as_full_scan(
+        net, routes, random_flows(rng, 20, 0, topo.num_nodes),
+        name + "after empty");
+  }
+}
+
+TEST(SolverEquivalence, LowestLinkIdWinsAnExactTie) {
+  // Star of five nodes around one switch: trunk i joins node i to the
+  // switch, so node i -> switch is link 2i and switch -> node i is 2i+1.
+  // Two links tie exactly at share s = 1/3. Freezing one link's flows
+  // first or the other's gives rates one ulp apart, so the rates show
+  // which link the solve picked.
+  const double s = 1.0 / 3.0;
+  const double after = (1.0 - s) / 2;
+  ASSERT_NE(std::bit_cast<std::uint64_t>(after),
+            std::bit_cast<std::uint64_t>(s));
+  const auto star = [](double cap0, double cap1) {
+    Topology topo;
+    topo.num_nodes = 5;
+    topo.num_switches = 1;
+    for (int n = 0; n < 5; ++n)
+      topo.trunks.push_back({n, topo.switch_vertex(0), n == 0   ? cap0
+                                                       : n == 1 ? cap1
+                                                                : 1e12});
+    return topo;
+  };
+  const auto rates = [](const Topology& topo, std::vector<Flow> flows) {
+    Network net(topo);
+    net.compute_rates(flows);
+    std::vector<std::uint64_t> bits;
+    for (const Flow& f : flows)
+      bits.push_back(std::bit_cast<std::uint64_t>(f.rate));
+    return bits;
+  };
+  const std::uint64_t s_bits = std::bit_cast<std::uint64_t>(s);
+  const std::uint64_t after_bits = std::bit_cast<std::uint64_t>(after);
+
+  // Link 0 (node 0 out, 2 flows, capacity 2s) beats link 3 (node 1 in,
+  // 3 flows, capacity 1): 3 -> 1 and 4 -> 1 get (1 - s) / 2, not s.
+  EXPECT_EQ(rates(star(2 * s, 1.0), {{nullptr, 0, 1, 0.0},
+                                      {nullptr, 0, 2, 0.0},
+                                      {nullptr, 3, 1, 0.0},
+                                      {nullptr, 4, 1, 0.0}}),
+            (std::vector<std::uint64_t>{s_bits, s_bits, after_bits,
+                                        after_bits}));
+  // Mirrored: link 1 (node 0 in, 3 flows, capacity 1) beats link 2
+  // (node 1 out, 2 flows, capacity 2s), so every flow gets s.
+  EXPECT_EQ(rates(star(1.0, 2 * s), {{nullptr, 1, 0, 0.0},
+                                      {nullptr, 1, 2, 0.0},
+                                      {nullptr, 3, 0, 0.0},
+                                      {nullptr, 4, 0, 0.0}}),
+            (std::vector<std::uint64_t>{s_bits, s_bits, s_bits, s_bits}));
 }
 
 /// Property: total rate over any trunk direction never exceeds capacity.

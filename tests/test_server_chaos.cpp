@@ -19,8 +19,10 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +32,7 @@
 #include "faultline/faultline.hpp"
 #include "runner/grid.hpp"
 #include "runner/journal.hpp"
+#include "server/cache.hpp"
 #include "server/client.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
@@ -413,6 +416,61 @@ TEST_F(ChaosTest, CacheInsertFailureStillServesTheResult) {
   }
   EXPECT_EQ(jserver.stats().insert_errors, 1u);
   jserver.stop();
+}
+
+TEST_F(ChaosTest, CacheOpenSweepsOrphanedSpoolTemporaries) {
+  const std::string data = (base_ / "data").string();
+  const std::string spool = data + "/spool";
+  const auto spool_files = [&] {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(spool)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      files[entry.path().filename().string()] =
+          std::string(std::istreambuf_iterator<char>(in), {});
+    }
+    return files;
+  };
+  const auto spool_tmp = [&](std::uint64_t key) {
+    char name[40];
+    std::snprintf(name, sizeof name, "/e%016llx.csv.tmp",
+                  static_cast<unsigned long long>(key));
+    return spool + name;
+  };
+
+  std::vector<std::uint64_t> keys;
+  std::vector<std::string> csvs;
+  {
+    hpas::server::ResultCache cache(data);
+    cache.open();
+    for (const std::uint64_t seed : {1u, 2u}) {
+      hpas::runner::ScenarioResult result;
+      result.spec = quick_spec("s" + std::to_string(seed), seed);
+      result.ran = true;
+      result.status = hpas::runner::ScenarioStatus::kDone;
+      result.metrics_csv = "timestamp,x\n0," + std::to_string(seed) + "\n";
+      keys.push_back(hpas::runner::scenario_key_hash(result.spec));
+      csvs.push_back(result.metrics_csv);
+      cache.insert(keys.back(), result);
+    }
+  }
+  const auto want = spool_files();
+  ASSERT_EQ(want.size(), 2u);
+
+  // What a crash mid-insert leaves: the temporary of a result that was
+  // never journaled, and one of a key whose journaled bytes are intact.
+  std::ofstream(spool_tmp(0x1234), std::ios::binary) << "torn";
+  std::ofstream(spool_tmp(keys[0]), std::ios::binary) << "torn";
+
+  hpas::server::ResultCache reopened(data);
+  reopened.open();
+  EXPECT_EQ(spool_files(), want);
+  EXPECT_EQ(reopened.restored(), 2u);
+  EXPECT_EQ(reopened.spool_invalid(), 0u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const hpas::server::CachedResult* hit = reopened.find(keys[i]);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->metrics_csv, csvs[i]);
+  }
 }
 
 TEST_F(ChaosTest, StalledPeerIsDroppedIdlePeerSurvives) {
