@@ -13,8 +13,11 @@
 //                cost of one scenario on it (world build + monitoring of
 //                node 0, the t=0 sample included);
 //   rate_solver  microseconds per full rate recompute at 1..64 nodes;
-//   sweep        wall-clock seconds for a small in-process sweep grid in
-//                both modes.
+//   sweep_dragonfly1k
+//                median wall-clock seconds of an in-process sweep of
+//                dragonfly1k scenarios (apps on 64 nodes, node 0
+//                monitored, as run_scenario does) in both modes, and
+//                the speedup. Not gated.
 //
 // Exit status is non-zero when a hard contract fails (allocations on the
 // warm path, or incremental slower than 3x the reference mode), so the
@@ -32,6 +35,7 @@
 #include <fstream>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -268,20 +272,25 @@ double bench_rate_solver_us(int nodes, int iterations) {
   return seconds_since(start) / static_cast<double>(iterations) * 1e6;
 }
 
-// --- in-process sweep wall time -----------------------------------------
+// --- in-process dragonfly1k sweep wall time -----------------------------
 
-hpas::runner::SweepGrid bench_grid(double duration_s) {
+/// Scenarios shaped like perfbench's sim_dragonfly1k: apps on 64 of the
+/// 1024 nodes under a node-domain and a network anomaly, node 0
+/// monitored.
+hpas::runner::SweepGrid bench_dragonfly_grid(double duration_s) {
   hpas::runner::SweepGrid grid;
-  grid.name = "bench_grid";
+  grid.name = "bench_dragonfly1k";
   int index = 0;
-  for (const char* anomaly : {"none", "membw", "netoccupy", "memleak"}) {
+  for (const auto& [app, anomaly] :
+       {std::pair{"miniAMR", "membw"}, std::pair{"milc", "netoccupy"}}) {
     hpas::runner::ScenarioSpec spec;
-    spec.name = "bench_" + std::string(anomaly);
-    spec.app = "CoMD";
+    spec.name = std::string("df_") + app + "_" + anomaly;
+    spec.system = "dragonfly1k";
+    spec.app = app;
+    spec.app_nodes = 64;
     spec.anomaly = anomaly;
     spec.duration_s = duration_s;
     spec.sample_period_s = 1.0;
-    spec.run_to_completion = true;  // fig08 semantics: ~200 sim-seconds
     spec.seed = hpas::runner::derive_scenario_seed(
         5, static_cast<std::uint64_t>(index++));
     grid.scenarios.push_back(spec);
@@ -289,21 +298,27 @@ hpas::runner::SweepGrid bench_grid(double duration_s) {
   return grid;
 }
 
-double bench_sweep_wall(double duration_s, bool full_recompute) {
+/// Median wall seconds of `repeats` single-threaded sweeps of `grid`.
+double bench_sweep_wall(const hpas::runner::SweepGrid& grid,
+                        bool full_recompute, int repeats) {
   if (full_recompute)
     ::setenv("HPAS_FULL_RECOMPUTE", "1", 1);
   else
     ::unsetenv("HPAS_FULL_RECOMPUTE");
-  const auto start = Clock::now();
-  const auto result =
-      hpas::runner::run_sweep(bench_grid(duration_s), {.threads = 1});
-  ::unsetenv("HPAS_FULL_RECOMPUTE");
-  if (!result.ok()) {
-    std::fprintf(stderr, "bench sweep failed: %s\n",
-                 result.first_error().c_str());
-    std::exit(2);
+  std::vector<double> walls;
+  for (int i = 0; i < repeats; ++i) {
+    const auto start = Clock::now();
+    const auto result = hpas::runner::run_sweep(grid, {.threads = 1});
+    walls.push_back(seconds_since(start));
+    if (!result.ok()) {
+      std::fprintf(stderr, "bench sweep failed: %s\n",
+                   result.first_error().c_str());
+      std::exit(2);
+    }
   }
-  return seconds_since(start);
+  ::unsetenv("HPAS_FULL_RECOMPUTE");
+  std::sort(walls.begin(), walls.end());
+  return walls[walls.size() / 2];
 }
 
 }  // namespace
@@ -325,7 +340,8 @@ int main(int argc, char** argv) {
   const std::uint64_t engine_events = quick ? 200000 : 1000000;
   const double world_sim_s = quick ? 0.5 : 2.0;
   const int world_nodes = 64;
-  const double sweep_duration_s = quick ? 10.0 : 30.0;
+  const double sweep_duration_s = quick ? 30.0 : 120.0;
+  const int sweep_repeats = quick ? 3 : 5;
   const int solver_iters = quick ? 300 : 2000;
 
   int failures = 0;
@@ -420,17 +436,22 @@ int main(int argc, char** argv) {
     doc.set("rate_solver", std::move(section));
   }
 
-  // Whole-sweep wall time, both modes.
+  // Whole-sweep wall time on dragonfly1k, both modes.
   {
-    const double inc_wall = bench_sweep_wall(sweep_duration_s, false);
-    const double full_wall = bench_sweep_wall(sweep_duration_s, true);
-    std::printf("sweep: incremental %.4fs, full %.4fs\n", inc_wall,
-                full_wall);
+    const hpas::runner::SweepGrid grid = bench_dragonfly_grid(sweep_duration_s);
+    const double inc_wall = bench_sweep_wall(grid, false, sweep_repeats);
+    const double full_wall = bench_sweep_wall(grid, true, sweep_repeats);
+    std::printf("sweep_dragonfly1k: incremental %.4fs, full %.4fs "
+                "(speedup %.2fx, median of %d)\n",
+                inc_wall, full_wall, full_wall / inc_wall, sweep_repeats);
     hpas::Json section = hpas::Json::object();
+    section.set("scenarios", static_cast<std::uint64_t>(grid.scenarios.size()));
     section.set("scenario_duration_s", sweep_duration_s);
+    section.set("repeats", sweep_repeats);
     section.set("incremental_wall_s", inc_wall);
     section.set("full_recompute_wall_s", full_wall);
-    doc.set("sweep", std::move(section));
+    section.set("speedup", full_wall / inc_wall);
+    doc.set("sweep_dragonfly1k", std::move(section));
   }
 
   doc.set("peak_rss_bytes", hpas::peak_rss_bytes());

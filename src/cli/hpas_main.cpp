@@ -197,6 +197,8 @@ int run_sweep_command(const std::vector<std::string>& argv) {
   }
 
   const std::string out_dir = args.value("out");
+  // Held until exit, before the resume's journal rewrite and tmp sweep.
+  const hpas::faultline::DirLock dir_lock(out_dir);
   // Static lifetime: the watcher thread may still dereference the tokens
   // while main unwinds after a signal near the end of the sweep.
   static hpas::CancelToken graceful;
@@ -412,7 +414,7 @@ int run_search_command(const std::vector<std::string>& argv) {
     space.set_base_seed(hpas::flag_u64(args, "seed"));
 
   const std::string out_dir = args.value("out");
-  std::filesystem::create_directories(out_dir);
+  const hpas::faultline::DirLock dir_lock(out_dir);  // creates out_dir
 
   // Static lifetime: the watcher thread may outlive this frame (see
   // run_sweep_command).
@@ -882,6 +884,8 @@ int run_dataset_command(const std::vector<std::string>& argv) {
               static_cast<unsigned long long>(hpas::flag_u64(args, "shards")),
               threads);
 
+  // Held until exit, before the checkpoint journal is read or rewritten.
+  const hpas::faultline::DirLock dir_lock(out_dir);
   // Static lifetime: the watcher thread may still dereference the tokens
   // while main unwinds after a signal near the end of the run.
   static hpas::CancelToken graceful;

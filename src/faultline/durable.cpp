@@ -1,6 +1,7 @@
 #include "faultline/durable.hpp"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -85,6 +86,46 @@ void write_file_atomic(Domain d, const std::string& path,
   AtomicFile file(d, path);
   file.write(bytes);
   file.commit();
+}
+
+DirLock::DirLock(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec)
+    throw SystemError("cannot create directory " + dir + ": " + ec.message());
+  const std::string path = dir + "/.hpas.lock";
+  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (fd_ < 0) throw_errno("cannot open " + path, errno);
+  if (::flock(fd_, LOCK_EX | LOCK_NB) != 0) {
+    const int err = errno;
+    // flock(2) cannot say who holds it; the holder's POSIX record lock
+    // (set below) can. None is visible when the holder is this process,
+    // whose own record locks never conflict with it.
+    struct flock probe {};
+    probe.l_type = F_WRLCK;
+    probe.l_whence = SEEK_SET;
+    const bool known = ::fcntl(fd_, F_GETLK, &probe) == 0 &&
+                       probe.l_type != F_UNLCK;
+    const long holder = known ? static_cast<long>(probe.l_pid)
+                              : static_cast<long>(::getpid());
+    // Closing drops this process's record locks on the file, so a
+    // refused in-process taker leaves its holder's pid unreported to
+    // later ones; the flock itself is unaffected.
+    ::close(std::exchange(fd_, -1));
+    if (err != EWOULDBLOCK) throw_errno("cannot lock " + path, err);
+    throw ConfigError(dir + " is in use: pid " + std::to_string(holder) +
+                      " holds " + path +
+                      "; one process writes a directory at a time");
+  }
+  // Best effort: only the pid report above depends on it.
+  struct flock record {};
+  record.l_type = F_WRLCK;
+  record.l_whence = SEEK_SET;
+  (void)::fcntl(fd_, F_SETLK, &record);
+}
+
+DirLock::~DirLock() {
+  if (fd_ >= 0) ::close(fd_);
 }
 
 std::size_t remove_orphaned_tmp_files(const std::string& dir) {

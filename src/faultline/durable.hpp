@@ -59,6 +59,27 @@ class AtomicFile {
 void write_file_atomic(Domain d, const std::string& path,
                        std::string_view bytes);
 
+/// One writer per durable directory. Taking a DirLock creates `dir` and
+/// an empty `<dir>/.hpas.lock` if missing and holds an exclusive,
+/// non-blocking flock(2) on it until destruction (for the CLI verbs, the
+/// life of the process). A second taker -- another process, or another
+/// DirLock in this one -- is refused with ConfigError naming the
+/// holder's pid, before it reads, rewrites or sweeps anything in `dir`.
+/// The file stays empty, so two output directories still `diff -r`
+/// equal. Serve, `sweep -o`, search and dataset take one on their
+/// directory.
+class DirLock {
+ public:
+  explicit DirLock(const std::string& dir);
+  ~DirLock();
+
+  DirLock(const DirLock&) = delete;
+  DirLock& operator=(const DirLock&) = delete;
+
+ private:
+  int fd_ = -1;
+};
+
 /// Removes the `*.tmp` siblings that a crash in the middle of an atomic
 /// write leaves in `dir` (never valid outputs) and returns how many it
 /// removed. Only safe while nothing is writing into `dir`, so callers

@@ -91,6 +91,11 @@ void Server::start() {
   if (options_.admission_capacity == 0)
     throw ConfigError("serve: admission capacity must be positive");
 
+  // Before anything reads or rewrites the data dir: a second server on
+  // it must be refused here, not after replacing the running one's
+  // journal under it. Held until wait() has quiesced; a start() that
+  // throws releases it.
+  auto dir_lock = std::make_unique<faultline::DirLock>(options_.data_dir);
   cache_.set_spool_cap_bytes(options_.spool_cap_bytes);
   cache_.open();
 
@@ -115,6 +120,7 @@ void Server::start() {
   scheduler_thread_ = std::thread([this] { scheduler_loop(); });
   if (options_.scrub_interval_s > 0.0)
     scrub_thread_ = std::thread([this] { scrub_loop(); });
+  dir_lock_ = std::move(dir_lock);
   started_ = true;
 }
 
@@ -192,6 +198,7 @@ std::uint64_t Server::wait() {
     if (fd >= 0) ::close(fd);
     fd = -1;
   }
+  dir_lock_.reset();  // nothing writes the data dir any more
   started_ = false;
 
   std::lock_guard<std::mutex> lock(mu_);

@@ -50,6 +50,7 @@
 
 #include "common/cancel.hpp"
 #include "common/json.hpp"
+#include "faultline/durable.hpp"
 #include "runner/grid.hpp"
 #include "runner/thread_pool.hpp"
 #include "server/cache.hpp"
@@ -159,6 +160,7 @@ class Server {
   Json stats_json() const;
 
   ServerOptions options_;
+  std::unique_ptr<faultline::DirLock> dir_lock_;  ///< start() to wait()
   ResultCache cache_;
   std::unique_ptr<runner::WorkStealingPool> pool_;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "sim/maxmin.hpp"
@@ -31,6 +32,11 @@ Node::Node(int id, NodeConfig config) : id_(id), config_(config) {
   require(config.cores > 0, "Node: cores must be positive");
   require(config.mem_bw_peak > 0 && config.core_bw_limit > 0,
           "Node: bandwidths must be positive");
+}
+
+void Node::throw_not_counted() const {
+  throw InvariantError("node " + std::to_string(id_) +
+                       " is not monitored; its counters are not integrated");
 }
 
 bool Node::adjust_memory(double delta_bytes) {

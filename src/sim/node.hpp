@@ -86,8 +86,17 @@ class Node {
   int id() const { return id_; }
   const NodeConfig& config() const { return config_; }
 
-  NodeCounters& counters() { return counters_; }
-  const NodeCounters& counters() const { return counters_; }
+  /// Cumulative counters. A node outside its World's monitoring scope
+  /// (see World::enable_monitoring) does not integrate them, and reading
+  /// them throws InvariantError naming the node.
+  NodeCounters& counters() {
+    if (!counted_) throw_not_counted();
+    return counters_;
+  }
+  const NodeCounters& counters() const {
+    if (!counted_) throw_not_counted();
+    return counters_;
+  }
 
   /// Memory capacity accounting. Gauge, not a rate.
   double memory_used() const { return memory_used_ + config_.os_base_memory; }
@@ -109,11 +118,15 @@ class Node {
   double cpu_utilization(const std::vector<Task*>& tasks) const;
 
  private:
+  friend class World;  // integrates counters_ and sets the scope
   struct LevelPressure;  // implementation detail (node.cpp)
+
+  [[noreturn]] void throw_not_counted() const;
 
   int id_;
   NodeConfig config_;
   NodeCounters counters_;
+  bool counted_ = true;
   double memory_used_ = 0.0;
 
   // Rate-solver scratch, reused across compute_rates calls so the

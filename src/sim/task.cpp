@@ -1,7 +1,5 @@
 #include "sim/task.hpp"
 
-#include <limits>
-
 #include "common/error.hpp"
 #include "sim/world.hpp"
 #include "trace/tracer.hpp"
@@ -32,6 +30,11 @@ void Task::set_phase(const Phase& phase) {
   if (world_ != nullptr) world_->on_task_phase_change(*this, phase);
   phase_ = phase;
   remaining_ = phase.work;
+  // Work units span instructions (1e9) to seconds (1e0); an absolute
+  // epsilon cannot cover both, and a too-small epsilon leaves a residue
+  // whose eta underflows the simulator clock's double resolution. Use a
+  // tolerance relative to the phase's total work.
+  tolerance_ = std::max(1e-9, 1e-9 * phase.work);
   latency_left_ =
       (phase.kind == PhaseKind::kMessage) ? profile_.msg_latency_s : 0.0;
   rates_ = TaskRates{};
@@ -49,28 +52,14 @@ void Task::set_phase(const Phase& phase) {
   }
 }
 
-double Task::completion_tolerance() const {
-  // Work units span instructions (1e9) to seconds (1e0); an absolute
-  // epsilon cannot cover both, and a too-small epsilon leaves a residue
-  // whose eta underflows the simulator clock's double resolution. Use a
-  // tolerance relative to the phase's total work.
-  return std::max(1e-9, 1e-9 * phase_.work);
+TaskCounters& Task::counters() {
+  if (world_ != nullptr) world_->require_counted(*this);
+  return counters_;
 }
 
-bool Task::advance(double dt) {
-  if (phase_.kind == PhaseKind::kDone || phase_.kind == PhaseKind::kIdle)
-    return false;
-  return advance_step(dt, rates_.progress, completion_tolerance(), remaining_,
-                      latency_left_);
-}
-
-double Task::eta() const {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  if (phase_.kind == PhaseKind::kDone || phase_.kind == PhaseKind::kIdle)
-    return kInf;
-  if (remaining_ <= completion_tolerance()) return latency_left_;
-  if (rates_.progress <= 0.0) return kInf;
-  return latency_left_ + remaining_ / rates_.progress;
+const TaskCounters& Task::counters() const {
+  if (world_ != nullptr) world_->require_counted(*this);
+  return counters_;
 }
 
 }  // namespace hpas::sim

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 
 namespace hpas::trace {
@@ -145,7 +146,11 @@ class Task {
 
   /// Advances the current phase by dt at the cached rates. Returns true
   /// if the phase just completed.
-  bool advance(double dt);
+  bool advance(double dt) {
+    if (!active()) return false;
+    return advance_step(dt, rates_.progress, tolerance_, remaining_,
+                        latency_left_);
+  }
 
   /// The single source of truth for phase-progress arithmetic, shared by
   /// advance() and the World's deferred counter integration. Replaying
@@ -173,12 +178,21 @@ class Task {
   TaskRates& rates() { return rates_; }
   const TaskRates& rates() const { return rates_; }
 
-  TaskCounters& counters() { return counters_; }
-  const TaskCounters& counters() const { return counters_; }
+  /// Cumulative usage. For a task owned by a World whose node is outside
+  /// the monitoring scope (see World::enable_monitoring) the counters are
+  /// not integrated, and reading them throws InvariantError naming the
+  /// node.
+  TaskCounters& counters();
+  const TaskCounters& counters() const;
 
   /// Time until this task's phase completes at current rates; +inf when
   /// blocked or starved.
-  double eta() const;
+  double eta() const {
+    if (!active()) return std::numeric_limits<double>::infinity();
+    if (remaining_ <= tolerance_) return latency_left_;
+    if (rates_.progress <= 0.0) return std::numeric_limits<double>::infinity();
+    return latency_left_ + remaining_ / rates_.progress;
+  }
 
   /// Memory footprint on the node; maintained by controllers through
   /// World::allocate_memory.
@@ -209,7 +223,7 @@ class Task {
   friend class World;
 
   /// Work-relative slack under which a phase counts as finished.
-  double completion_tolerance() const;
+  double completion_tolerance() const { return tolerance_; }
 
   std::string name_;
   int node_;
@@ -219,6 +233,7 @@ class Task {
   Phase phase_ = Phase::idle();
   double remaining_ = 0.0;
   double latency_left_ = 0.0;
+  double tolerance_ = 1e-9;  ///< set_phase: max(1e-9, 1e-9 * work)
   double allocated_bytes_ = 0.0;
   TaskRates rates_;
   TaskCounters counters_;

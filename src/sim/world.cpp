@@ -19,6 +19,12 @@ namespace {
 /// replay happens, never its arithmetic.
 constexpr std::size_t kMaxChunkLog = 1024;
 
+/// Min-heap order on trace id: ids grow with spawn order, so this is
+/// task_ptrs_ order.
+bool later_trace_id(const Task* a, const Task* b) {
+  return a->trace_id() > b->trace_id();
+}
+
 bool env_full_recompute() {
   const char* env = std::getenv("HPAS_FULL_RECOMPUTE");
   return env != nullptr && env[0] != '\0' &&
@@ -37,6 +43,8 @@ World::World(NodeConfig node_config, Topology topology, FsConfig fs_config)
   node_dirty_.assign(static_cast<std::size_t>(n), 0);
   node_cursor_.assign(static_cast<std::size_t>(n), 0);
   node_active_.assign(static_cast<std::size_t>(n), 0);
+  counted_nodes_.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) counted_nodes_.push_back(i);
   full_recompute_ = env_full_recompute();
   oom_ = [](World& world, Task& requester) {
     log_warn("sim: OOM on node ", requester.node(), "; killing '",
@@ -156,7 +164,9 @@ void World::apply_counter_chunk(Task& task, double dt) {
   const double eff_dt =
       rates.progress > 0.0 ? progressed / rates.progress : 0.0;
 
-  NodeCounters& c = nodes_[static_cast<std::size_t>(task.node_)]->counters();
+  // counters_ directly: a message's sender or peer may be a node that
+  // does not integrate counters, whose public read throws.
+  NodeCounters& c = nodes_[static_cast<std::size_t>(task.node_)]->counters_;
   TaskCounters& t = task.counters_;
   switch (task.phase_.kind) {
     case PhaseKind::kCompute:
@@ -183,8 +193,7 @@ void World::apply_counter_chunk(Task& task, double dt) {
       c.nic_tx_bytes += progressed;
       if (task.phase_.peer_node >= 0) {
         nodes_[static_cast<std::size_t>(task.phase_.peer_node)]
-            ->counters()
-            .nic_rx_bytes += progressed;
+            ->counters_.nic_rx_bytes += progressed;
       }
       break;
     }
@@ -205,6 +214,9 @@ void World::apply_counter_chunk(Task& task, double dt) {
 
 void World::sync_node_domain(int id) {
   const auto uid = static_cast<std::size_t>(id);
+  // Outside the monitoring scope nothing reads this domain's counters:
+  // its chunks are never replayed (sync_all_domains drops them).
+  if (!nodes_[uid]->counted_) return;
   std::uint32_t& cursor = node_cursor_[uid];
   const auto end = static_cast<std::uint32_t>(chunk_dt_.size());
   if (cursor == end) return;
@@ -263,12 +275,13 @@ void World::sync_fs_domain() {
 
 void World::sync_all_domains() {
   if (!chunk_dt_.empty()) {
-    for (int i = 0; i < num_nodes(); ++i) sync_node_domain(i);
+    for (const int id : counted_nodes_) sync_node_domain(id);
     sync_network_domain();
     sync_fs_domain();
   }
   chunk_dt_.clear();
-  std::fill(node_cursor_.begin(), node_cursor_.end(), 0u);
+  for (const int id : counted_nodes_)
+    node_cursor_[static_cast<std::size_t>(id)] = 0;
   net_cursor_ = 0;
   fs_cursor_ = 0;
 }
@@ -337,6 +350,30 @@ void World::on_task_phase_change(Task& task, const Phase& next) {
 void World::on_task_phase_installed(Task& task) {
   task.sync_remaining_ = task.remaining_;
   task.sync_latency_ = task.latency_left_;
+  // A phase that starts out complete (zero work, no latency) fires in a
+  // completion pass without waiting for the next advance.
+  if (task.active() && task.remaining_ <= 0.0 && task.latency_left_ <= 0.0)
+    note_completion_candidate(&task);
+}
+
+void World::note_completion_candidate(Task* task) {
+  // The whole-list scan would still reach an id past the cursor that
+  // existed when the pass began; anything else waits for the next pass.
+  const std::uint32_t id = task->trace_id();
+  if (id > pass_cursor_ && id < pass_limit_) {
+    pass_heap_.push_back(task);
+    std::push_heap(pass_heap_.begin(), pass_heap_.end(), later_trace_id);
+  } else {
+    candidates_.push_back(task);
+  }
+}
+
+void World::require_counted(const Task& task) const {
+  if (!nodes_[static_cast<std::size_t>(task.node_)]->counted_)
+    throw InvariantError("task '" + task.name_ + "' runs on node " +
+                         std::to_string(task.node_) +
+                         ", which is not monitored; its counters are not "
+                         "integrated");
 }
 
 void World::on_task_profile_mutation(Task& task) {
@@ -366,6 +403,8 @@ void World::advance_tasks(double dt) {
   for (Task* task : task_ptrs_) {
     if (!task->active()) continue;
     task->advance(dt);
+    if (task->remaining_ <= 0.0 && task->latency_left_ <= 0.0)
+      candidates_.push_back(task);
   }
   // Reference mode: integrate every counter immediately, exactly like the
   // original eager loop (the replay arithmetic is the same; the chunk is
@@ -376,12 +415,46 @@ void World::advance_tasks(double dt) {
 void World::handle_completions() {
   // Controllers may finish tasks or wake others; iterate to a fixed point
   // but bound the passes to avoid a buggy controller looping forever.
+  //
+  // The semantics are those of the reference scan below: each pass walks
+  // a snapshot of task_ptrs_ and fires every active task found at
+  // remaining <= 0 && latency_left <= 0. The advance pass and set_phase
+  // note every task that gets there, so the indexed pass visits those
+  // candidates alone, in the snapshot's order.
+  if (full_recompute_) {
+    for (int pass = 0; pass < 64; ++pass) {
+      bool any = false;
+      // Snapshot: controllers can spawn/kill during iteration.
+      completion_scratch_ = task_ptrs_;
+      for (Task* task : completion_scratch_) {
+        if (task->killed_) continue;  // killed by an earlier controller
+        if (!task->active()) continue;
+        if (task->remaining() <= 0.0 && task->latency_left() <= 0.0) {
+          task->set_phase(task->next_phase());
+          any = true;
+        }
+      }
+      if (!any) {
+        candidates_.clear();  // the scan covered them
+        return;
+      }
+    }
+    throw InvariantError("World: phase-completion cascade did not settle");
+  }
+
   for (int pass = 0; pass < 64; ++pass) {
+    if (candidates_.empty()) return;
+    pass_heap_.swap(candidates_);
+    std::make_heap(pass_heap_.begin(), pass_heap_.end(), later_trace_id);
+    pass_limit_ = next_trace_id_;  // tasks spawned from here wait a pass
+    pass_cursor_ = 0;
     bool any = false;
-    // Snapshot: controllers can spawn/kill during iteration. (Reused
-    // buffer; the killed_ flag replaces the old O(n) membership re-scan.)
-    completion_scratch_ = task_ptrs_;
-    for (Task* task : completion_scratch_) {
+    while (!pass_heap_.empty()) {
+      std::pop_heap(pass_heap_.begin(), pass_heap_.end(), later_trace_id);
+      Task* task = pass_heap_.back();
+      pass_heap_.pop_back();
+      if (task->trace_id() <= pass_cursor_) continue;  // repeated entry
+      pass_cursor_ = task->trace_id();
       if (task->killed_) continue;  // killed by an earlier controller
       if (!task->active()) continue;
       if (task->remaining() <= 0.0 && task->latency_left() <= 0.0) {
@@ -389,6 +462,7 @@ void World::handle_completions() {
         any = true;
       }
     }
+    pass_limit_ = 0;
     if (!any) return;
   }
   throw InvariantError("World: phase-completion cascade did not settle");
@@ -438,20 +512,25 @@ void World::recompute_rates() {
 /// "share 0.42 vs 0.39 on node 7" instead of "a CSV changed".
 void World::trace_rates() {
   tracer_->emit(trace::RecordKind::kRateRecompute, 0, 0, task_ptrs_.size());
-  agg_scratch_.assign(static_cast<std::size_t>(num_nodes()), RateAgg{});
+  if (agg_scratch_.empty())
+    agg_scratch_.resize(static_cast<std::size_t>(num_nodes()));
+  // Sums fold in task_ptrs_ order, as before; only the nodes that have
+  // active tasks are touched, then emitted in ascending id and re-zeroed.
   for (const Task* task : task_ptrs_) {
     if (!task->active()) continue;
     RateAgg& a = agg_scratch_[static_cast<std::size_t>(task->node())];
-    ++a.active;
+    if (a.active++ == 0) agg_nodes_.push_back(task->node());
     a.cpu_share += task->rates().cpu_share;
     a.dram_rate += task->rates().dram_rate;
   }
-  for (std::size_t i = 0; i < agg_scratch_.size(); ++i) {
-    if (agg_scratch_[i].active == 0) continue;
-    tracer_->emit(trace::RecordKind::kNodeRates,
-                  static_cast<std::uint32_t>(i), agg_scratch_[i].active, 0,
-                  agg_scratch_[i].cpu_share, agg_scratch_[i].dram_rate);
+  std::sort(agg_nodes_.begin(), agg_nodes_.end());
+  for (const int id : agg_nodes_) {
+    RateAgg& a = agg_scratch_[static_cast<std::size_t>(id)];
+    tracer_->emit(trace::RecordKind::kNodeRates, static_cast<std::uint32_t>(id),
+                  a.active, 0, a.cpu_share, a.dram_rate);
+    a = RateAgg{};
   }
+  agg_nodes_.clear();
   for (const Task* task : task_ptrs_) {
     if (!task->active()) continue;
     tracer_->emit(trace::RecordKind::kTaskRate, task->trace_id(),
@@ -517,6 +596,15 @@ void World::enable_monitoring(double period_s, std::vector<int> nodes,
     if (listed[static_cast<std::size_t>(id)]++)
       throw InvariantError("enable_monitoring: node " + std::to_string(id) +
                            " listed twice");
+  }
+  // Narrow counter integration to the monitored nodes. Settle first, so
+  // the listed nodes' cursors start from an empty log.
+  sync_all_domains();
+  counted_nodes_.clear();
+  for (int i = 0; i < num_nodes(); ++i) {
+    nodes_[static_cast<std::size_t>(i)]->counted_ =
+        listed[static_cast<std::size_t>(i)] != 0;
+    if (listed[static_cast<std::size_t>(i)]) counted_nodes_.push_back(i);
   }
   stores_.resize(static_cast<std::size_t>(num_nodes()));
   for (const int id : nodes) {

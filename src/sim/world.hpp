@@ -26,6 +26,10 @@
 //     re-solves just those domains. Clean domains keep their installed
 //     rates, which are identical because the solvers are deterministic
 //     functions of unchanged inputs;
+//   * completions are indexed -- the advance pass and every phase
+//     installation note the tasks that may complete now, and
+//     handle_completions() visits only those, in task (trace-id) order,
+//     with the same per-pass cutoffs as a scan of the whole task list;
 //   * counter integration is lazy -- advance_tasks still moves every
 //     active task's remaining-work eagerly (completion times feed event
 //     scheduling), but the node/network/filesystem counter accumulation
@@ -34,10 +38,15 @@
 //     domain is next observed (rate change, phase change, sampling, or
 //     run_until returning). Replay preserves the per-chunk fold order of
 //     every shared accumulator, so all observables are bit-identical to
-//     eager integration.
+//     eager integration;
+//   * counter integration follows the monitoring scope -- once
+//     enable_monitoring() names its nodes, only those nodes' domains are
+//     replayed; the counters of any other node (and of its residents)
+//     are never integrated, and reading them throws.
 // Setting HPAS_FULL_RECOMPUTE=1 (or set_full_recompute(true)) restores
-// the original recompute-everything-per-event behaviour; the equivalence
-// tests byte-compare traces across both modes.
+// the original recompute-everything-per-event behaviour, including the
+// whole-list completion scan; the equivalence tests byte-compare traces
+// across both modes.
 #pragma once
 
 #include <cstdint>
@@ -99,6 +108,10 @@ class World {
   /// `nodes` lists the monitored nodes (distinct, in range); empty means
   /// every node. Samplers only read counters, so an unmonitored node
   /// evolves exactly as a monitored one would; it is just not sampled.
+  /// With a non-empty list only the listed nodes integrate counters:
+  /// reading the counters of any other node, or of a task resident
+  /// there, throws InvariantError naming the node. Filesystem counters
+  /// are integrated either way.
   /// `sink` (optional, non-owning) streams the first listed node's
   /// samples (node 0 when `nodes` is empty) in collection order,
   /// including the t=0 sample taken inside this call. With
@@ -152,6 +165,9 @@ class World {
   void on_task_phase_change(Task& task, const Phase& next);
   void on_task_phase_installed(Task& task);
   void on_task_profile_mutation(Task& task);
+  /// Throws InvariantError naming the node when `task`'s node does not
+  /// integrate counters (Task::counters()).
+  void require_counted(const Task& task) const;
 
  private:
   void update_event();  ///< incremental update (internal event path)
@@ -172,6 +188,7 @@ class World {
   void mark_node_dirty(int id);
   void mark_all_dirty();
   void note_domain_entry(PhaseKind kind, int node_id, int delta);
+  void note_completion_candidate(Task* task);
 
   Simulator sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
@@ -196,6 +213,9 @@ class World {
   /// dt of every advance_tasks call not yet folded into all counters.
   std::vector<double> chunk_dt_;
   std::vector<std::uint32_t> node_cursor_;  ///< per-node replay cursor
+  /// Nodes whose counters integrate, ascending: every node, or the
+  /// monitored ones once enable_monitoring names them.
+  std::vector<int> counted_nodes_;
   std::uint32_t net_cursor_ = 0;
   std::uint32_t fs_cursor_ = 0;
   /// Active members per counter domain; a domain with no members can
@@ -204,15 +224,28 @@ class World {
   int message_tasks_ = 0;
   int io_tasks_ = 0;
 
+  // Completion index. A task lands here when the advance pass leaves it
+  // at remaining <= 0 && latency_left <= 0, or when a phase installed on
+  // it starts out that way; handle_completions re-checks at the visit.
+  // An entry may repeat or name a task killed since.
+  std::vector<Task*> candidates_;  ///< for the next pass, unordered
+  std::vector<Task*> pass_heap_;   ///< this pass, min-heap on trace id
+  /// Ids in (pass_cursor_, pass_limit_) still fire in the running pass:
+  /// the cursor is the last visited id, the limit next_trace_id_ at the
+  /// pass's start. pass_limit_ == 0 outside a pass.
+  std::uint32_t pass_cursor_ = 0;
+  std::uint32_t pass_limit_ = 0;
+
   // Hot-path scratch (no per-event allocation once warm).
-  std::vector<Task*> completion_scratch_;
+  std::vector<Task*> completion_scratch_;  ///< full-recompute scan only
   std::vector<Flow> flow_scratch_;
   struct RateAgg {
     std::uint16_t active = 0;
     double cpu_share = 0.0;
     double dram_rate = 0.0;
   };
-  std::vector<RateAgg> agg_scratch_;
+  std::vector<RateAgg> agg_scratch_;  ///< by node id, zero between uses
+  std::vector<int> agg_nodes_;        ///< nodes agg_scratch_ holds now
 
   /// Indexed by node id; null for a node that is not monitored.
   std::vector<std::unique_ptr<metrics::MetricStore>> stores_;

@@ -11,6 +11,7 @@
 // uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -37,6 +38,7 @@
 #include "runner/runner.hpp"
 #include "search/driver.hpp"
 #include "search/space.hpp"
+#include "run_hpas.hpp"
 #include "trace/export.hpp"
 
 namespace {
@@ -316,6 +318,102 @@ TEST_F(DurableIoTest, SweepOutputWriteFailureFailsTheScenarioNotTheProcess) {
   // No "done" record names the failed scenario, so --resume re-runs it and
   // finishes with the uninterrupted sweep's bytes.
   ASSERT_TRUE(sweep(dir, /*resume=*/true).ok());
+  EXPECT_EQ(outputs_of(dir), outputs_of(ref));
+}
+
+// --- one writer per durable directory ------------------------------------
+
+TEST_F(DurableIoTest, DirLockRefusesASecondTakerAndNamesTheHolder) {
+  const std::string dir = path("locked");
+  {
+    const fl::DirLock held(dir);
+    ASSERT_TRUE(fs::exists(dir + "/.hpas.lock"));
+    EXPECT_EQ(fs::file_size(dir + "/.hpas.lock"), 0u);
+    try {
+      const fl::DirLock second(dir);
+      ADD_FAILURE() << "a second DirLock on one directory was granted";
+    } catch (const hpas::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("pid " +
+                                           std::to_string(::getpid())),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Released with its holder.
+  const fl::DirLock again(dir);
+}
+
+TEST_F(DurableIoTest, ConcurrentSweepResumeIsRefusedUntouchedThenCompletes) {
+  const std::string grid =
+      std::string(HPAS_EXAMPLES_DIR) + "/grids/small_sweep.json";
+  const std::string ref = path("ref");
+  const std::string dir = path("out");
+  ASSERT_EQ(run_hpas({"sweep", grid, "-j", "1", "-o", ref}, path("ref.log")),
+            0)
+      << slurp(path("ref.log"));
+  ASSERT_EQ(run_hpas({"sweep", grid, "-j", "1", "-o", dir}, path("a.log")), 0)
+      << slurp(path("a.log"));
+  const std::string journal = dir + "/sweep.journal";
+  const std::string journal_bytes = slurp(journal);
+  struct stat before {};
+  ASSERT_EQ(::stat(journal.c_str(), &before), 0);
+  // A crash's leftover: a resume sweeps it, a refused resume must not.
+  std::ofstream(dir + "/orphan.csv.tmp") << "torn";
+
+  // The first process: holds the directory until the pipe closes.
+  int ready[2];
+  int release[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  ASSERT_EQ(::pipe(release), 0);
+  const pid_t holder = ::fork();
+  ASSERT_GE(holder, 0);
+  if (holder == 0) {
+    ::close(ready[0]);
+    ::close(release[1]);
+    try {
+      const fl::DirLock lock(dir);
+      const char byte = 1;
+      if (::write(ready[1], &byte, 1) != 1) ::_exit(1);
+      char ignored;
+      while (::read(release[0], &ignored, 1) > 0) {
+      }
+    } catch (...) {
+      ::_exit(1);
+    }
+    ::_exit(0);
+  }
+  ::close(ready[1]);
+  ::close(release[0]);
+  char byte = 0;
+  ASSERT_EQ(::read(ready[0], &byte, 1), 1);
+
+  // The second process is refused before it reads or rewrites anything.
+  EXPECT_EQ(run_hpas({"sweep", grid, "-j", "1", "-o", dir, "--resume"},
+                     path("b.log")),
+            2);
+  const std::string refusal = slurp(path("b.log"));
+  EXPECT_NE(refusal.find("pid " + std::to_string(holder)), std::string::npos)
+      << refusal;
+  struct stat after {};
+  ASSERT_EQ(::stat(journal.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino);
+  EXPECT_EQ(slurp(journal), journal_bytes);
+  EXPECT_TRUE(fs::exists(dir + "/orphan.csv.tmp"));
+
+  ::close(release[1]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(holder, &status, 0), holder);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  ::close(ready[0]);
+
+  // With the holder gone the resume runs, sweeps the leftover and ends
+  // with the uninterrupted sweep's bytes.
+  ASSERT_EQ(run_hpas({"sweep", grid, "-j", "1", "-o", dir, "--resume"},
+                     path("c.log")),
+            0)
+      << slurp(path("c.log"));
+  EXPECT_FALSE(fs::exists(dir + "/orphan.csv.tmp"));
   EXPECT_EQ(outputs_of(dir), outputs_of(ref));
 }
 

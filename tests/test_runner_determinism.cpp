@@ -21,7 +21,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -175,6 +177,131 @@ TEST(MonitoringScope, UnmonitoredNodesAndBadListsAreRejected) {
   EXPECT_THROW(sim::make_voltrino_world()->enable_monitoring(1.0, {2, 5, 2}),
                InvariantError);
   EXPECT_THROW(world->enable_monitoring(1.0, {0}), InvariantError);
+}
+
+/// The test's message check: `e` names "node <id>".
+void expect_names_node(const InvariantError& e, int id) {
+  EXPECT_NE(std::string(e.what()).find("node " + std::to_string(id)),
+            std::string::npos)
+      << e.what();
+}
+
+TEST(MonitoringScope, CountersOutsideTheScopeThrowNamingTheNode) {
+  auto world = sim::make_voltrino_world();
+  world->enable_monitoring(1.0, {3, 1});
+  std::vector<sim::Task*> tasks;
+  for (const int node : {1, 2, 3, 5}) {
+    tasks.push_back(world->spawn_task(
+        "t" + std::to_string(node), node, 0, sim::TaskProfile{},
+        sim::Phase::compute(1e9),
+        [](sim::Task&) { return sim::Phase::compute(1e9); }));
+  }
+  world->run_until(3.0);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const int node = tasks[i]->node();
+    const sim::World& const_world = *world;
+    const sim::Task& const_task = *tasks[i];
+    if (node == 1 || node == 3) {
+      EXPECT_GT(world->node(node).counters().instructions, 0.0) << node;
+      EXPECT_GT(tasks[i]->counters().instructions, 0.0) << node;
+      continue;
+    }
+    try {
+      (void)world->node(node).counters();
+      ADD_FAILURE() << "node(" << node << ").counters() did not throw";
+    } catch (const InvariantError& e) {
+      expect_names_node(e, node);
+    }
+    EXPECT_THROW((void)const_world.node(node).counters(), InvariantError);
+    try {
+      (void)tasks[i]->counters();
+      ADD_FAILURE() << "counters() of a task on node " << node
+                    << " did not throw";
+    } catch (const InvariantError& e) {
+      expect_names_node(e, node);
+    }
+    EXPECT_THROW((void)const_task.counters(), InvariantError);
+  }
+  // An idle node outside the scope throws too, and the filesystem is
+  // always integrated.
+  EXPECT_THROW((void)world->node(7).counters(), InvariantError);
+  (void)world->filesystem().counters();
+}
+
+/// A scenario that keeps every counter domain busy: CoMD on `app_nodes`
+/// nodes, netoccupy between node 1 and the far half of the machine, and
+/// metadata clients on node 2, run for 10 simulated seconds.
+struct BusyWorld {
+  std::unique_ptr<sim::World> world;
+  std::unique_ptr<apps::BspApp> app;  ///< destroyed before the world
+};
+
+BusyWorld busy_world(const std::string& system, std::vector<int> monitored,
+                     bool full_recompute) {
+  BusyWorld out;
+  out.world = system == "dragonfly1k" ? sim::make_dragonfly_world()
+                                      : sim::make_voltrino_world();
+  sim::World* world = out.world.get();
+  world->set_full_recompute(full_recompute);
+  world->enable_monitoring(1.0, std::move(monitored));
+  const int n = world->num_nodes();
+  simanom::inject_netoccupy(*world, 1, (1 + n / 2) % n, /*ntasks=*/2,
+                            50.0 * 1024 * 1024, /*duration_s=*/8.0);
+  simanom::inject_iometadata(*world, /*node=*/2, /*ntasks=*/2,
+                             /*duration_s=*/6.0);
+  apps::BspApp::Placement placement;
+  const int app_nodes = n >= 64 ? 64 : 4;
+  for (int i = 0; i < app_nodes; ++i)
+    placement.nodes.push_back(i * (n / app_nodes));
+  placement.ranks_per_node = 4;
+  apps::AppSpec app_spec = apps::app_by_name("CoMD");
+  app_spec.iterations = 1000000;
+  out.app = std::make_unique<apps::BspApp>(*world, app_spec, placement);
+  world->run_until(10.0);
+  return out;
+}
+
+void expect_same_bits(double a, double b, const char* what, int node) {
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+      << what << " on node " << node << ": " << a << " vs " << b;
+}
+
+TEST(MonitoringScope, ScopedCountersMatchAnAllNodeWorldBitForBit) {
+  for (const char* system : {"voltrino", "dragonfly1k"}) {
+    for (const bool full : {false, true}) {
+      // Node 0 hosts app ranks, node 1 sends, the far peer receives.
+      const int n = std::string(system) == "dragonfly1k" ? 1024 : 8;
+      const std::vector<int> scope = {0, 1, (1 + n / 2) % n};
+      const BusyWorld scoped_run = busy_world(system, scope, full);
+      const BusyWorld every_run = busy_world(system, {}, full);
+      sim::World* scoped = scoped_run.world.get();
+      sim::World* every = every_run.world.get();
+      SCOPED_TRACE(std::string(system) + (full ? " full" : " incremental"));
+      for (const int id : scope) {
+        const sim::NodeCounters& a = scoped->node(id).counters();
+        const sim::NodeCounters& b = every->node(id).counters();
+        EXPECT_GT(a.instructions + a.nic_tx_bytes + a.nic_rx_bytes, 0.0)
+            << id;
+        expect_same_bits(a.cpu_user_seconds, b.cpu_user_seconds, "user", id);
+        expect_same_bits(a.cpu_sys_seconds, b.cpu_sys_seconds, "sys", id);
+        expect_same_bits(a.instructions, b.instructions, "instructions", id);
+        expect_same_bits(a.l1_misses, b.l1_misses, "l1", id);
+        expect_same_bits(a.l2_misses, b.l2_misses, "l2", id);
+        expect_same_bits(a.l3_misses, b.l3_misses, "l3", id);
+        expect_same_bits(a.dram_bytes, b.dram_bytes, "dram", id);
+        expect_same_bits(a.nic_tx_bytes, b.nic_tx_bytes, "nic_tx", id);
+        expect_same_bits(a.nic_rx_bytes, b.nic_rx_bytes, "nic_rx", id);
+        expect_same_bits(a.pages_faulted, b.pages_faulted, "pgfault", id);
+      }
+      const sim::FsCounters& fa = scoped->filesystem().counters();
+      const sim::FsCounters& fb = every->filesystem().counters();
+      EXPECT_GT(fa.metadata_ops, 0.0);
+      expect_same_bits(fa.metadata_ops, fb.metadata_ops, "fs metadata", -1);
+      expect_same_bits(fa.bytes_read, fb.bytes_read, "fs read", -1);
+      expect_same_bits(fa.bytes_written, fb.bytes_written, "fs write", -1);
+      EXPECT_THROW((void)scoped->node(3).counters(), InvariantError);
+    }
+  }
 }
 
 TEST(SweepDeterminism, ByteIdenticalAcrossThreadCounts) {

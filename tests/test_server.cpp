@@ -5,6 +5,7 @@
 // serves its journaled results byte-identically.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -19,8 +20,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/json.hpp"
 #include "runner/grid.hpp"
+#include "run_hpas.hpp"
 #include "runner/journal.hpp"
 #include "server/client.hpp"
 #include "server/protocol.hpp"
@@ -296,6 +299,57 @@ TEST_F(ServerTest, MalformedRequestsGetErrorFramesNotDisconnects) {
   EXPECT_NE(conn.recv_payload().find("\"type\":\"pong\""),
             std::string::npos);
   server.stop();
+}
+
+TEST_F(ServerTest, RefusedSecondServerLeavesTheJournalUntouched) {
+  // Two servers on one data dir, each on its own socket: the second must
+  // be refused before it rewrites server.journal, or the first one's
+  // later appends land in an unlinked inode and are lost on restart.
+  const ServerOptions opts = options();
+  Server first(opts);
+  first.start();
+  const auto submit_all = [&](const std::vector<ScenarioSpec>& specs) {
+    RawConn conn(opts.socket_path);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      conn.send(submit_request(i + 1, specs[i]));
+      (void)conn.recv_payload();  // accepted
+      EXPECT_NE(conn.recv_payload().find("\"status\":\"done\""),
+                std::string::npos);
+    }
+  };
+  submit_all({quick_spec("a0", 20), quick_spec("a1", 21)});
+
+  const std::string journal = opts.data_dir + "/server.journal";
+  struct stat before {};
+  ASSERT_EQ(::stat(journal.c_str(), &before), 0);
+  const std::string bytes_before = hpas::read_file(journal).value_or("");
+  ASSERT_FALSE(bytes_before.empty());
+
+  // `hpas serve` on the same data dir, listening elsewhere: refused
+  // (exit 2, naming this process as the holder) before it touches the
+  // journal.
+  const std::string log = (base_ / "second.log").string();
+  EXPECT_EQ(run_hpas({"serve", "--data", opts.data_dir, "--socket",
+                      (base_ / "other.sock").string()},
+                     log),
+            2);
+  const std::string refusal = hpas::read_file(log).value_or("");
+  EXPECT_NE(refusal.find("pid " + std::to_string(::getpid())),
+            std::string::npos)
+      << refusal;
+
+  struct stat after {};
+  ASSERT_EQ(::stat(journal.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino);
+  EXPECT_EQ(hpas::read_file(journal).value_or(""), bytes_before);
+
+  // The first server's later results reach the journal a restart reads.
+  submit_all({quick_spec("b0", 22), quick_spec("b1", 23)});
+  first.stop();
+  Server restarted(opts);
+  restarted.start();
+  EXPECT_EQ(restarted.stats().restored, 4u);
+  restarted.stop();
 }
 
 TEST_F(ServerTest, KilledDaemonRestartsAndServesJournaledResultsByteIdentically) {
